@@ -44,23 +44,22 @@ from .config import (
     load_preset,
     parse_config,
 )
-from .errors import ConfigurationError, EmptyStatisticsError, EntsenseError
-from .estimation import block_stats, estimate_blocks, fit_fringe
+from .errors import ConfigurationError, EntsenseError
+from .estimation import fit_fringe
 from .events import coincidence_fractions, write_tally_csv
 from .model import (
     EfficiencyBudget,
-    INFORMATIVE_PATTERNS,
     PhaseSetting,
     fisher_per_informative_event,
     pattern_distribution,
 )
-from .randomphase import measure_phase_point, run_random_phase_experiment, write_trials_csv
-from .resources import (
-    PrecisionReport,
-    ResourceAudit,
-    predicted_db_below_snl,
-    threshold_efficiency,
+from .randomphase import (
+    measure_logged_setting,
+    measure_phase_point,
+    run_random_phase_experiment,
+    write_trials_csv,
 )
+from .resources import ResourceAudit, predicted_db_below_snl, threshold_efficiency
 from .simulator import (
     ExperimentConfig,
     LANE_TALLY,
@@ -89,12 +88,23 @@ def analytic_calibration(source, eff, points=_CALIBRATION_POINTS):
     rest category when estimation wants one.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi / 3.0, points)
+    rows = _analytic_rows(source, eff, [float(t) for t in thetas])
+    return fit_fringe([(t, fracs) for t, fracs, _ in rows],
+                      counts=np.full(points, 1e9))
+
+
+def _analytic_rows(source, eff, thetas):
+    """(theta, exact coincidence fractions, informative probability) rows.
+
+    The fractions are normalized by the informative probability.
+    """
     rows = []
     for t in thetas:
         dist = pattern_distribution(source, eff, 3.0 * t)
-        quartet = np.asarray(dist.coincidence_quartet())
-        rows.append((float(t), quartet / dist.informative_probability()))
-    return fit_fringe(rows, counts=np.full(points, 1e9))
+        p_inf = dist.informative_probability()
+        rows.append((t, tuple(float(p) / p_inf for p in dist.coincidence_quartet()),
+                     p_inf))
+    return rows
 
 
 def _report_dict(report):
@@ -150,16 +160,9 @@ def cmd_fringe(args):
     out = _prepare_out(args, "fringe", config, config_path)
     thetas = scan.setpoints()
 
-    csv_rows = []
     if scan.analytic:
-        rows = []
-        for t in thetas:
-            dist = pattern_distribution(source, eff, 3.0 * t)
-            p_inf = dist.informative_probability()
-            fracs = tuple(float(p) / p_inf for p in dist.coincidence_quartet())
-            rows.append((t, fracs))
-            csv_rows.append((t, fracs, p_inf))
-        fit = fit_fringe(rows)
+        csv_rows = _analytic_rows(source, eff, thetas)
+        counts = None
     else:
         settings = tuple(PhaseSetting(3.0 * t, 0.0) for t in thetas)
         exp = ExperimentConfig(
@@ -175,14 +178,10 @@ def cmd_fringe(args):
             if log_path.parent != Path(""):
                 log_path.parent.mkdir(parents=True, exist_ok=True)
         result = run_experiment(exp, workers=args.workers, event_log=log_path)
-        rows = []
-        c_sums = []
-        for t, tally in zip(thetas, result.tallies):
-            fracs = coincidence_fractions(tally)
-            rows.append((t, fracs))
-            csv_rows.append((t, fracs, tally.c_sum))
-            c_sums.append(tally.c_sum)
-        fit = fit_fringe(rows, counts=c_sums)
+        csv_rows = [(t, coincidence_fractions(tally), tally.c_sum)
+                    for t, tally in zip(thetas, result.tallies)]
+        counts = [c_sum for _, _, c_sum in csv_rows]
+    fit = fit_fringe([(t, fracs) for t, fracs, _ in csv_rows], counts=counts)
 
     with open(out / "fringe_scan.csv", "w") as fh:
         fh.write(FRINGE_CSV_HEADER + "\n")
@@ -372,41 +371,6 @@ def cmd_random_phase(args):
     return 0
 
 
-def _blocked_precision_from_log(rows, tally, source, eff, calibration, blocks):
-    """Re-cut one setting's log rows into blocks and reduce them.
-
-    The log has a fixed pulse count, so the informative total K rarely
-    divides k_bar; blocks cover the first (K // k_bar) * k_bar events and
-    the per-block resource share prorates the setting's audited n by
-    k_bar / K, which reduces to n / s when the log ends exactly at a
-    block boundary.
-    """
-    k_bar = blocks.k_bar
-    patterns = rows[:, 2]
-    slot = {p: i for i, p in enumerate(INFORMATIVE_PATTERNS)}
-    codes = np.array([slot[p] for p in patterns if p in slot], dtype=np.intp)
-    K = len(codes)
-    s_actual = K // k_bar
-    if s_actual < 2:
-        raise EmptyStatisticsError(
-            f"log holds {K} informative events at this setting; "
-            f"need at least 2 blocks of {k_bar}"
-        )
-    used = codes[: s_actual * k_bar].reshape(s_actual, k_bar)
-    block_counts = np.zeros((s_actual, len(INFORMATIVE_PATTERNS)), dtype=np.int64)
-    for b in range(s_actual):
-        block_counts[b] = np.bincount(used[b], minlength=len(INFORMATIVE_PATTERNS))
-    estimates = estimate_blocks(block_counts, calibration,
-                                include_rest=blocks.include_rest)
-    stats = block_stats(estimates, k_bar=k_bar)
-    audit = ResourceAudit.from_tallies(tally, source, eff)
-    report = PrecisionReport.assemble(
-        float(np.mean(estimates)), stats, audit.n * k_bar / K,
-        params={"k_bar": k_bar, "s": s_actual},
-    )
-    return report, s_actual
-
-
 def cmd_audit(args):
     config, config_path = _load_run_config(args)
     eff = config.require("efficiency")
@@ -427,21 +391,15 @@ def cmd_audit(args):
 
     precision = None
     if config.blocks is not None:
-        # the log is re-read row-wise because tallies forget arrival order
-        # and blocks are cut by it
-        raw = np.loadtxt(args.log, delimiter=",", skiprows=1,
-                         dtype=np.int64, ndmin=2)
         calibration = analytic_calibration(source, eff)
         precision = []
-        for tally in result.tallies:
-            sel = raw[:, 1] == tally.setting_index
-            report, s_actual = _blocked_precision_from_log(
-                raw[sel], tally, source, eff, calibration, config.blocks
+        for tally, patterns in zip(result.tallies, result.patterns):
+            report, s = measure_logged_setting(
+                patterns, tally, source, eff, calibration, config.blocks.k_bar,
+                include_rest=config.blocks.include_rest,
             )
-            precision.append(
-                {"setting_index": tally.setting_index, "s": s_actual,
-                 **_report_dict(report)}
-            )
+            fields = _report_dict(report) if report else {"degenerate": True}
+            precision.append({"setting_index": tally.setting_index, "s": s, **fields})
     doc["precision"] = precision
     _write_json(out / "audit.json", doc)
 

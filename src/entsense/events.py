@@ -19,7 +19,7 @@ import csv
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 import warnings
 
 import numpy as np
@@ -213,9 +213,6 @@ class Tally:
         """Counts of the four cross-node twofolds, (A1B1, A1B2, A2B1, A2B2)."""
         return tuple(int(self.counts[int(t)]) for t in COINCIDENCE_TYPES)
 
-    def as_dict(self) -> dict[EventType, int]:
-        return {EventType(p): int(self.counts[p]) for p in range(N_PATTERNS)}
-
     def merge(self, other: "Tally") -> "Tally":
         """Combine two partial tallies of the same setting."""
         if not isinstance(other, Tally):
@@ -369,9 +366,3 @@ def read_tally_csv(path) -> list[Tally]:
                 setting, np.zeros(N_PATTERNS, dtype=np.int64)
             )[int(event)] += count
     return [Tally(accumulators[s], s) for s in sorted(accumulators)]
-
-
-def iter_event_rows(tally: Tally) -> Iterator[tuple[int, str, int]]:
-    """Yield ``(setting_index, event_type, count)`` rows, mask-ascending."""
-    for p in range(N_PATTERNS):
-        yield (tally.setting_index, EventType(p).name, int(tally.counts[p]))

@@ -20,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, EmptyStatisticsError
 from .estimation import block_stats, estimate_blocks, fold_to_branch
 from .model import PhaseSetting, global_phase
 from .resources import PrecisionReport, ResourceAudit
 from .simulator import (
     LANE_BITS,
+    LANE_BLOCKS,
+    LANE_PULSES,
+    cut_blocks,
     sample_blocked_run,
     sample_blocked_run_pulse_level,
     stream_generator,
@@ -40,6 +43,7 @@ __all__ = [
     "is_extremum",
     "PhaseMeasurement",
     "measure_phase_point",
+    "measure_logged_setting",
     "PhaseTrial",
     "RandomPhaseTrialSet",
     "run_random_phase_experiment",
@@ -146,15 +150,12 @@ def measure_phase_point(source, eff, calibration, u, k_bar, s, *, seed,
         raise ConfigurationError(
             f"method must be 'blocked' or 'pulses', got {method!r}"
         )
-    rng = stream_generator(seed, _run_lane(method), setting_index=setting_index)
+    lane = LANE_BLOCKS if method == "blocked" else LANE_PULSES
+    rng = stream_generator(seed, lane, setting_index=setting_index)
     run = sampler(source, eff, u, k_bar, s, rng, setting_index=setting_index)
-    estimates = estimate_blocks(run.block_counts, calibration,
-                                include_rest=include_rest)
-    stats = block_stats(estimates, k_bar=k_bar)
     audit = ResourceAudit.from_tallies(run.tally, source, eff)
-    theta_hat = float(np.mean(estimates))
-    report = PrecisionReport.assemble(
-        theta_hat, stats, audit.n / s,
+    theta_hat, stats, report = _block_report(
+        run.block_counts, calibration, k_bar, audit.n / s, include_rest,
         params={
             "mu": source.mu,
             "visibility": source.visibility,
@@ -163,16 +164,55 @@ def measure_phase_point(source, eff, calibration, u, k_bar, s, *, seed,
             "s": int(s),
         },
     )
+    if report is None:
+        raise DomainError(f"all {s} block estimates at u={u!r} coincide: zero spread")
     return PhaseMeasurement(
         theta_hat=theta_hat, stats=stats, audit=audit, report=report,
         extremum=is_extremum(u),
     )
 
 
-def _run_lane(method):
-    from .simulator import LANE_BLOCKS, LANE_PULSES
+def measure_logged_setting(patterns, tally, source, eff, calibration, k_bar,
+                           *, include_rest=False):
+    """Re-cut one logged setting into blocks and reduce them.
 
-    return LANE_BLOCKS if method == "blocked" else LANE_PULSES
+    patterns is the setting's click-pattern stream in log order and tally
+    its full tally.  The log has a fixed pulse count, so the informative
+    total K rarely divides k_bar; blocks cover the first (K // k_bar) *
+    k_bar events and the per-block resource share prorates the setting's
+    audited n by k_bar / K, which reduces to n / s when the log ends
+    exactly at a block boundary.
+
+    Returns (report, s).  report is None when all s block estimates
+    coincide, as when every block of a fringe-extremum setting lands on
+    the branch edge: their spread is zero and has no dB figure.
+    """
+    K = tally.c_sum
+    s = K // k_bar
+    if s < 2:
+        raise EmptyStatisticsError(
+            f"log holds {K} informative events at this setting; "
+            f"need at least 2 blocks of {k_bar}"
+        )
+    audit = ResourceAudit.from_tallies(tally, source, eff)
+    _, _, report = _block_report(
+        cut_blocks(patterns, k_bar, s), calibration, k_bar, audit.n * k_bar / K,
+        include_rest, params={"k_bar": k_bar, "s": s},
+    )
+    return report, s
+
+
+def _block_report(block_counts, calibration, k_bar, n, include_rest, params):
+    """(theta_hat, stats, report) of the blocks against a per-block
+    resource share n; report is None when the spread is zero."""
+    estimates = estimate_blocks(block_counts, calibration,
+                                include_rest=include_rest)
+    stats = block_stats(estimates, k_bar=k_bar)
+    theta_hat = float(np.mean(estimates))
+    if stats.delta_hat == 0.0:
+        return theta_hat, stats, None
+    return theta_hat, stats, PrecisionReport.assemble(theta_hat, stats, n,
+                                                      params=params)
 
 
 @dataclass(frozen=True)

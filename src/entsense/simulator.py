@@ -30,6 +30,7 @@ Two sampling paths are exposed:
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +66,7 @@ __all__ = [
     "run_experiment",
     "sample_tally",
     "sample_blocked_run",
+    "cut_blocks",
     "read_event_log",
     "EVENT_LOG_HEADER",
 ]
@@ -78,6 +80,11 @@ LANE_BITS = 3  # random-bit source (phase QRNG stand-in)
 _DEFAULT_CHUNK = 1 << 20
 
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
+
+# informative slot of each pattern, in INFORMATIVE_PATTERNS order; -1 for
+# the non-informative ones
+_SLOT_OF_PATTERN = np.full(N_PATTERNS, -1, dtype=np.int64)
+_SLOT_OF_PATTERN[list(INFORMATIVE_PATTERNS)] = np.arange(len(INFORMATIVE_PATTERNS))
 
 
 def stream_generator(seed, lane, setting_index=0, chunk_index=0):
@@ -165,11 +172,14 @@ class EventRecord:
 
 @dataclass
 class ExperimentResult:
-    """Per-setting tallies plus the simulation-truth pair totals."""
+    """Per-setting tallies plus the simulation-truth pair totals; patterns
+    holds each setting's click patterns in log order when read back from
+    an event log."""
 
     tallies: list
     truth_pairs: list
     pulses: list
+    patterns: list | None = None
 
     def __iter__(self):
         return iter(self.tallies)
@@ -268,17 +278,10 @@ def run_experiment(config, *, workers=None, event_log=None):
                 )
                 return lo, patterns, m
 
-            if workers and workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    produced = pool.map(draw, chunks)
-                    for lo, patterns, m in produced:
-                        counts += np.bincount(patterns, minlength=N_PATTERNS)
-                        truth += int(m.sum(dtype=np.int64))
-                        if log_fh is not None:
-                            _write_log_chunk(log_fh, lo, s_idx, patterns, m)
-            else:
-                for chunk in chunks:
-                    lo, patterns, m = draw(chunk)
+            threaded = workers and workers > 1
+            pool = ThreadPoolExecutor(max_workers=workers) if threaded else None
+            with pool or nullcontext():
+                for lo, patterns, m in (pool.map if pool else map)(draw, chunks):
                     counts += np.bincount(patterns, minlength=N_PATTERNS)
                     truth += int(m.sum(dtype=np.int64))
                     if log_fh is not None:
@@ -307,7 +310,8 @@ def read_event_log(path_or_file):
 
     Accepts logs written by run_experiment or any file with the same
     header and integer rows.  Returns an ExperimentResult whose tallies
-    are ordered by setting index.
+    are ordered by setting index, with each setting's pattern column in
+    log order as its patterns, for callers that cut blocks by arrival.
     """
     def load(fh):
         first = fh.readline()
@@ -340,13 +344,15 @@ def read_event_log(path_or_file):
     tallies = []
     truth_totals = []
     pulses = []
+    streams = []
     for s_idx in np.unique(rows[:, 1]):
         sel = rows[:, 1] == s_idx
-        counts = np.bincount(patterns[sel], minlength=N_PATTERNS)
+        streams.append(patterns[sel])
+        counts = np.bincount(streams[-1], minlength=N_PATTERNS)
         tallies.append(Tally(counts, setting_index=int(s_idx)))
         truth_totals.append(int(rows[sel, 3].sum()))
         pulses.append(int(sel.sum()))
-    return ExperimentResult(tallies, truth_totals, pulses)
+    return ExperimentResult(tallies, truth_totals, pulses, streams)
 
 
 def sample_tally(source, eff, u, pulses, rng, routing="sensing", setting_index=0):
@@ -385,6 +391,26 @@ class BlockedRunSample:
     @property
     def k_bar(self):
         return int(self.block_counts[0].sum()) if self.s else 0
+
+
+def cut_blocks(patterns, k_bar, s):
+    """Count the first s*k_bar informative events of a pattern stream in blocks.
+
+    Blocks follow arrival order: block b holds informative events
+    b*k_bar .. (b+1)*k_bar - 1, non-informative patterns are skipped, and
+    events past the last block are left out.  Returns block_counts[b, j],
+    the count of the j-th INFORMATIVE_PATTERNS type in block b.
+    """
+    slots = _SLOT_OF_PATTERN[np.asarray(patterns)]
+    slots = slots[slots >= 0][: k_bar * s]
+    if len(slots) < k_bar * s:
+        raise EmptyStatisticsError(
+            f"stream holds {len(slots)} informative events; "
+            f"{s} blocks of {k_bar} need {k_bar * s}"
+        )
+    n_slots = len(INFORMATIVE_PATTERNS)
+    cells = np.arange(len(slots)) // k_bar * n_slots + slots
+    return np.bincount(cells, minlength=s * n_slots).reshape(s, n_slots)
 
 
 def _blocked_from_pieces(block_counts, rest_counts, pulses, setting_index):
@@ -447,15 +473,13 @@ def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,
     if k_bar < 1 or s < 1:
         raise ConfigurationError("blocked run needs k_bar >= 1 and s >= 1")
     need = k_bar * s
-    informative = np.zeros(N_PATTERNS, dtype=bool)
-    informative[list(INFORMATIVE_PATTERNS)] = True
     codes = []
     counts = np.zeros(N_PATTERNS, dtype=np.int64)
     collected = 0
     pulses = 0
     while collected < need:
         patterns, _ = sample_patterns(source, eff, u, rng, chunk, routing)
-        keep_mask = informative[patterns]
+        keep_mask = _SLOT_OF_PATTERN[patterns] >= 0
         kept = patterns[keep_mask]
         if collected + len(kept) >= need:
             # trim the chunk at the pulse carrying the final needed event
@@ -467,14 +491,8 @@ def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,
         codes.append(kept)
         collected += len(kept)
         pulses += len(patterns)
-    stream = np.concatenate(codes)
-    pattern_to_slot = {p: j for j, p in enumerate(INFORMATIVE_PATTERNS)}
-    slots = np.array([pattern_to_slot[int(p)] for p in stream], dtype=np.int64)
-    block_counts = np.zeros((s, len(INFORMATIVE_PATTERNS)), dtype=np.int64)
-    block_of = np.repeat(np.arange(s), k_bar)
-    np.add.at(block_counts, (block_of, slots), 1)
     return BlockedRunSample(
-        block_counts=block_counts,
+        block_counts=cut_blocks(np.concatenate(codes), k_bar, s),
         tally=Tally(counts, setting_index=setting_index),
         pulses=pulses,
     )

@@ -496,6 +496,43 @@ class TestAuditCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_audit_parses_log_once(self, tmp_path, monkeypatch):
+        import entsense.cli
+
+        cfg, log = make_log(tmp_path)
+        reads, loadtxt_callers = [], []
+        real_read, real_loadtxt = entsense.cli.read_event_log, np.loadtxt
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        def recording_loadtxt(*args, **kwargs):
+            loadtxt_callers.append(sys._getframe(1).f_globals["__name__"])
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(entsense.cli, "read_event_log", counting_read)
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        assert main(["audit", "--config", cfg, "--log", str(log),
+                     "--out", str(tmp_path / "audit")]) == 0
+        assert len(reads) == 1
+        assert loadtxt_callers and "entsense.cli" not in loadtxt_callers
+
+    def test_degenerate_setting_reported_not_fatal(self, tmp_path):
+        # six A1B1 events cut into three blocks of two: every block estimate
+        # lands on the same branch edge, so the spread is exactly zero
+        log = tmp_path / "flat.csv"
+        log.write_text("pulse_index,setting_index,pattern,truth_pairs\n"
+                       + "".join(f"{i},0,5,1\n" for i in range(6)))
+        doc = json.loads(json.dumps(load_preset("paper-240m").raw))
+        doc["blocks"]["k_bar"] = 2
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "audit"
+        assert main(["audit", "--config", cfg, "--log", str(log),
+                     "--out", str(out)]) == 0
+        precision = json.loads((out / "audit.json").read_text())["precision"]
+        assert precision == [{"setting_index": 0, "s": 3, "degenerate": True}]
+
     def test_audit_n_matches_library_accounting(self, tmp_path):
         cfg, log = make_log(tmp_path)
         out = tmp_path / "audit"

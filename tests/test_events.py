@@ -20,7 +20,6 @@ from entsense.events import (
     classify,
     coincidence_fractions,
     estimate_efficiencies,
-    iter_event_rows,
     read_tally_csv,
     write_tally_csv,
 )
@@ -248,6 +247,10 @@ class TestTallyCsv:
         assert len(lines) == 17
         assert "7,NoClick,0" in lines
         assert "7,A1A2B1B2,2" in lines
+        # rows run in ascending mask order
+        write_tally_csv(Tally.from_patterns([5, 9, 0, 15], setting_index=4), path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[1 + 5] == "4,A1B1,1"
 
     def test_split_rows_accumulate(self, tmp_path):
         path = tmp_path / "split.csv"
@@ -271,9 +274,3 @@ class TestTallyCsv:
         bad_count.write_text("setting_index,event_type,count\n0,A1,-3\n")
         with pytest.raises(ConfigurationError):
             read_tally_csv(bad_count)
-
-    def test_iter_event_rows_matches_file(self, tmp_path):
-        t = Tally.from_patterns([5, 9, 0, 15], setting_index=4)
-        rows = list(iter_event_rows(t))
-        assert len(rows) == 16
-        assert rows[5] == (4, "A1B1", 1)

@@ -27,6 +27,7 @@ from entsense.simulator import (
     LANE_PULSES,
     ExperimentConfig,
     ExperimentResult,
+    cut_blocks,
     read_event_log,
     run_experiment,
     sample_blocked_run,
@@ -191,6 +192,14 @@ class TestRunExperiment:
         assert back.pulses == [20_000, 20_000]
         first = path.read_text().splitlines()[0]
         assert first == EVENT_LOG_HEADER
+        assert result.patterns is None
+
+    def test_event_log_patterns_in_log_order(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n0,1,9,1\n0,0,5,1\n1,1,0,0\n"
+                        "1,0,15,2\n2,1,6,1\n")
+        back = read_event_log(path)
+        assert [list(p) for p in back.patterns] == [[5, 15], [9, 0, 6]]
 
     def test_event_log_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -300,6 +309,42 @@ class TestBlockedRun:
             sample_blocked_run(SRC_240M, EFF_240M, 1.0, 0, 5, rng)
         with pytest.raises(ConfigurationError):
             sample_blocked_run_pulse_level(SRC_240M, EFF_240M, 1.0, 5, 0, rng)
+
+
+def per_event_block_counts(stream, k_bar, s):
+    """The per-event cutter that cut_blocks replaced, kept as its reference."""
+    slot = {p: i for i, p in enumerate(INFORMATIVE_PATTERNS)}
+    codes = np.array([slot[p] for p in stream if p in slot], dtype=np.intp)
+    used = codes[: s * k_bar].reshape(s, k_bar)
+    block_counts = np.zeros((s, len(INFORMATIVE_PATTERNS)), dtype=np.int64)
+    for b in range(s):
+        block_counts[b] = np.bincount(used[b], minlength=len(INFORMATIVE_PATTERNS))
+    return block_counts
+
+
+class TestCutBlocks:
+    @pytest.mark.parametrize("n, k_bar, dtype", [
+        (1000, 7, np.uint8), (5003, 64, np.int64), (300, 1, np.uint8),
+        (40_000, 333, np.int64),
+    ])
+    def test_matches_per_event_reference(self, n, k_bar, dtype):
+        stream = np.random.default_rng(n).integers(0, N_PATTERNS, size=n).astype(dtype)
+        K = int(np.isin(stream, INFORMATIVE_PATTERNS).sum())
+        assert K < n  # the stream mixes in non-informative patterns
+        assert k_bar == 1 or K % k_bar  # the last partial block is dropped
+        s = K // k_bar
+        got = cut_blocks(stream, k_bar, s)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, per_event_block_counts(stream.tolist(), k_bar, s))
+
+    def test_fewer_blocks_than_the_stream_holds(self):
+        stream = np.random.default_rng(3).integers(0, N_PATTERNS, size=2000)
+        full = cut_blocks(stream, 50, 20)
+        np.testing.assert_array_equal(cut_blocks(stream, 50, 7), full[:7])
+
+    def test_short_stream_rejected(self):
+        with pytest.raises(EmptyStatisticsError):
+            cut_blocks(np.array([5, 0, 9, 15]), 2, 2)
 
 
 class TestResultContainer:
