@@ -250,6 +250,7 @@ class TestTallyCsv:
         # rows run in ascending mask order
         write_tally_csv(Tally.from_patterns([5, 9, 0, 15], setting_index=4), path)
         lines = path.read_text().strip().splitlines()
+        assert len(lines) == 17
         assert lines[1 + 5] == "4,A1B1,1"
 
     def test_split_rows_accumulate(self, tmp_path):
