@@ -40,6 +40,7 @@ from . import __version__
 from .config import (
     PRESET_NAMES,
     RunManifest,
+    dump_json,
     load_config_file,
     load_preset,
     parse_config,
@@ -105,15 +106,6 @@ def _analytic_rows(source, eff, thetas):
         rows.append((t, tuple(float(p) / p_inf for p in dist.coincidence_quartet()),
                      p_inf))
     return rows
-
-
-def _report_dict(report):
-    return json.loads(report.to_json())
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _load_run_config(args):
@@ -247,14 +239,14 @@ def cmd_precision(args):
         "peak": {
             "theta": thetas[peak],
             "extremum": measurements[peak].extremum,
-            **_report_dict(measurements[peak].report),
+            **measurements[peak].report.as_dict(),
         },
         "per_phase": [
-            {"theta": t, "extremum": m.extremum, **_report_dict(m.report)}
+            {"theta": t, "extremum": m.extremum, **m.report.as_dict()}
             for t, m in zip(thetas, measurements)
         ],
     }
-    _write_json(out / "precision.json", doc)
+    dump_json(doc, out / "precision.json")
     print(
         f"precision: {len(thetas)} setpoints, peak {doc['peak']['db_below_snl']:+.4f} dB "
         f"vs SNL at theta_hat={thetas[peak]:.4f} -> {out / 'precision.json'}"
@@ -304,7 +296,7 @@ def cmd_threshold_scan(args):
         "crossing_eta": crossing,
         "ideal_threshold": threshold_efficiency(),
     }
-    _write_json(out / "threshold.json", doc)
+    dump_json(doc, out / "threshold.json")
     shown = "none" if crossing is None else f"{crossing:.4f}"
     print(
         f"threshold-scan: {len(rows)} efficiencies, SNL crossing at eta={shown} "
@@ -358,7 +350,7 @@ def cmd_random_phase(args):
         "flagged_indices": list(trial_set.flagged_indices()),
         "trials": trials_doc,
     }
-    _write_json(out / "random_phase.json", doc)
+    dump_json(doc, out / "random_phase.json")
     if trials_doc:
         worst = max(t["delta"] for t in trials_doc)
         print(
@@ -380,7 +372,7 @@ def cmd_audit(args):
     write_tally_csv(result.tallies, out / "tallies.csv")
     merged = ResourceAudit.from_tallies(result.tallies, source, eff)
     truth_passes = 3.0 * float(sum(result.truth_pairs))
-    doc = json.loads(merged.to_json())
+    doc = merged.as_dict()
     doc["settings"] = len(result.tallies)
     doc["pulses"] = list(result.pulses)
     doc["truth_pairs"] = list(result.truth_pairs)
@@ -398,10 +390,10 @@ def cmd_audit(args):
                 patterns, tally, source, eff, calibration, config.blocks.k_bar,
                 include_rest=config.blocks.include_rest,
             )
-            fields = _report_dict(report) if report else {"degenerate": True}
+            fields = report.as_dict() if report else {"degenerate": True}
             precision.append({"setting_index": tally.setting_index, "s": s, **fields})
     doc["precision"] = precision
-    _write_json(out / "audit.json", doc)
+    dump_json(doc, out / "audit.json")
 
     rel = doc["n_vs_truth_relative"]
     rel_text = "n/a" if rel is None else f"{rel:+.4%}"

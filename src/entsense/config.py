@@ -288,6 +288,17 @@ def load_preset(name):
     return parse_config(doc)
 
 
+def dump_json(doc, path=None):
+    """doc as two-space indented JSON text, the format of every JSON file
+    the package writes; when path is given the text is also written
+    there with a trailing newline."""
+    text = json.dumps(doc, indent=2)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to replay a run and get the same bytes back."""
@@ -322,8 +333,4 @@ class RunManifest:
             "timestamp": self.timestamp,
             "resolved_config": self.resolved_config,
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(doc, path)

@@ -3,10 +3,10 @@
 The estimation chain mirrors how the measured data are reduced: a scan of
 coincidence fractions versus the set phase calibrates the four fringe
 curves (shared visibility and phase origin, per-channel offsets); blocks
-of k_bar informative events are then inverted one at a time by maximum
-likelihood against the calibrated curves; the spread of the per-block
-estimates is the measured precision, with the chi-distribution error bar
-delta/sqrt(2(s-1)).
+of k_bar informative events are then inverted all at once, one maximum-
+likelihood estimate per block against the calibrated curves; the spread
+of the per-block estimates is the measured precision, with the
+chi-distribution error bar delta/sqrt(2(s-1)).
 
 Branch discipline: the fringe depends on the set phases only through
 cos(3*theta_hat + phi0), which is even and 2*pi/3-periodic in theta_hat,
@@ -17,14 +17,14 @@ it come back as their folded image u <-> 2*pi - u.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 
+from .config import dump_json
 from .errors import (
     ConfigurationError,
     DegenerateEstimateWarning,
@@ -127,11 +127,7 @@ class FringeFit:
             "residual_chi2": self.residual_chi2,
             "dof": self.dof,
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(doc, path)
 
     @classmethod
     def ideal(cls, visibility=1.0, phase_offset=0.0):
@@ -251,6 +247,8 @@ _REST_SLOTS = [
     j for j, p in enumerate(INFORMATIVE_PATTERNS) if p not in COINCIDENCE_PATTERNS
 ]
 _GRID_SIZE = 4096
+_STEP_TOL = 8.0 * np.finfo(float).eps  # Newton polish: a few ulp of u ~ 1
+_MAX_STEPS = 64  # bisection alone takes a two-cell bracket to _STEP_TOL in 41
 
 
 def _category_log_probs(u_grid, calibration, include_rest):
@@ -264,24 +262,30 @@ def _category_log_probs(u_grid, calibration, include_rest):
     return np.log(np.clip(probs, 1e-300, None))
 
 
-def _refine(counts_row, calibration, include_rest, lo, hi):
-    def neg_loglike(u):
-        logp = _category_log_probs(np.array([u]), calibration, include_rest)[0]
-        return -float(np.dot(counts_row, logp))
+def _loglike_slopes(cats, calibration, include_rest, u):
+    """L'(u) and L''(u) of cats @ _category_log_probs, one u per row.
 
-    res = minimize_scalar(
-        neg_loglike, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x)
-
-
-def _coincidence_category_counts(tally_counts, include_rest):
-    coinc = np.array([tally_counts[p] for p in COINCIDENCE_PATTERNS], dtype=np.int64)
-    if not include_rest:
-        return coinc
-    c_sum = sum(int(tally_counts[p]) for p in INFORMATIVE_PATTERNS)
-    return np.concatenate([coinc, [c_sum - coinc.sum()]])
+    Each log p is a sum of log(alpha + beta cos(u + phi0)) terms of the fit
+    r_c = a_c (1 + s_c V cos(u + phi0)); clipped terms are constant there."""
+    alpha = np.array(calibration.offsets)
+    beta = alpha * np.array(FRINGE_SIGNS) * calibration.visibility_hat
+    if include_rest:  # log r_c and log(1 - R)
+        alpha, beta = np.append(alpha, 1.0 - alpha.sum()), np.append(beta, -beta.sum())
+    else:  # log r_c - log R
+        alpha, beta = np.append(alpha, alpha.sum()), np.append(beta, beta.sum())
+    phase = u[:, None] + calibration.phase_offset
+    # two terms of one sign, so no cancellation where a probability vanishes
+    f = alpha - abs(beta) + 2 * abs(beta) * np.where(
+        beta > 0, np.cos(phase / 2), np.sin(phase / 2)) ** 2
+    if include_rest:
+        weights = np.where(f > [1e-300] * 4 + [1e-12], cats, 0)
+    else:
+        weights = np.where(f[:, :4] / f[:, 4:] > 1e-300, cats, 0)
+        weights = np.column_stack([weights, -weights.sum(axis=1)])
+    f = np.where(weights != 0, f, 1.0)  # keeps 0 * inf out of dropped terms
+    g = -beta * np.sin(phase) / f
+    h = -beta * np.cos(phase) / f - g * g
+    return (weights * g).sum(axis=1), (weights * h).sum(axis=1)
 
 
 def mle_phase(tally, calibration, include_rest=False):
@@ -303,9 +307,9 @@ def mle_phase(tally, calibration, include_rest=False):
     if isinstance(tally, Tally):
         if tally.c_sum == 0:
             raise EmptyStatisticsError("tally has no informative events")
-        counts = _coincidence_category_counts(tally.counts, include_rest)
+        counts, categories = np.asarray(tally.counts)[list(INFORMATIVE_PATTERNS)], False
     else:
-        counts = np.asarray(tally, dtype=np.int64)
+        counts, categories = np.asarray(tally, dtype=np.int64), True
         want = 5 if include_rest else 4
         if counts.shape != (want,):
             raise ConfigurationError(
@@ -315,7 +319,7 @@ def mle_phase(tally, calibration, include_rest=False):
             raise EmptyStatisticsError("no events in category counts")
     estimates = estimate_blocks(
         counts[None, :], calibration, include_rest=include_rest,
-        _counts_are_categories=True,
+        _counts_are_categories=categories,
     )
     return float(estimates[0])
 
@@ -327,9 +331,9 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
     block_counts is (s, 9) over INFORMATIVE_PATTERNS order (as produced
     by the blocked samplers), or pre-reduced category counts when flagged.
     The likelihood is evaluated on a shared u grid over (0, pi) for every
-    block at once, then each block's maximum is polished to 1e-12 with a
-    bounded scalar search.  Boundary and flat-likelihood blocks get the
-    documented degenerate treatment and one summary warning.
+    block at once, then all grid maxima are polished to stationary points
+    by one safeguarded Newton solve.  Boundary and flat-likelihood blocks
+    get the documented degenerate treatment and one summary warning each.
     """
     block_counts = np.asarray(block_counts, dtype=np.int64)
     if block_counts.ndim != 2:
@@ -348,8 +352,8 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
         else:
             cats = coinc
 
-    u_grid = np.linspace(0.0, math.pi, _GRID_SIZE + 2)[1:-1]
-    log_probs = _category_log_probs(u_grid, calibration, include_rest)
+    nodes = np.linspace(0.0, math.pi, _GRID_SIZE + 2)  # the grid is nodes[1:-1]
+    log_probs = _category_log_probs(nodes[1:-1], calibration, include_rest)
     loglike = cats @ log_probs.T  # (s, G)
 
     best = np.argmax(loglike, axis=1)
@@ -358,47 +362,46 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
     at_lo = best == 0
     at_hi = best == _GRID_SIZE - 1
 
-    estimates = np.empty(len(cats))
-    n_boundary = 0
-    n_flat = 0
-    for i in range(len(cats)):
-        if flat[i]:
-            estimates[i] = math.pi / 2.0
-            n_flat += 1
-            continue
-        if at_lo[i] or at_hi[i]:
-            # polish against the true boundary; an interior dip within the
-            # first grid cell still counts as an edge estimate if the
-            # polished maximum stays at the edge
-            lo = 0.0 if at_lo[i] else u_grid[best[i] - 1]
-            hi = u_grid[best[i] + 1] if at_lo[i] else math.pi
-            u_hat = _refine(cats[i], calibration, include_rest, lo, hi)
-            edge = 0.0 if at_lo[i] else math.pi
-            if abs(u_hat - edge) < 1e-6:
-                estimates[i] = edge
-                n_boundary += 1
-                continue
-            estimates[i] = u_hat
-            continue
-        lo = u_grid[best[i] - 1]
-        hi = u_grid[best[i] + 1]
-        estimates[i] = _refine(cats[i], calibration, include_rest, lo, hi)
+    # Safeguarded Newton (rtsafe) on L'(u) = 0 across all blocks, within
+    # the grid cells either side of each maximum; nodes[0] = 0 and
+    # nodes[-1] = pi close the edge cells.  A step moves one bracket end to
+    # u by the sign of L', then takes the Newton step if L'' < 0 and it
+    # lands strictly inside the bracket or is zero (converged), else
+    # bisects; a block whose L' keeps one sign runs to the best bracket end.
+    u_hat = np.where(flat, math.pi / 2.0, nodes[best + 1])
+    lo, hi = nodes[best], nodes[best + 2]
+    active = np.flatnonzero(~flat)
+    for _ in range(_MAX_STEPS):
+        x = u_hat[active]
+        g, h = _loglike_slopes(cats[active], calibration, include_rest, x)
+        lo[active] = b_lo = np.where(g > 0, x, lo[active])
+        hi[active] = b_hi = np.where(g > 0, hi[active], x)
+        newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
+        inside = (h < 0) & (((b_lo < newton) & (newton < b_hi)) | (newton == x))
+        u_hat[active] = u_new = np.where(inside, newton, (b_lo + b_hi) / 2)
+        active = active[abs(u_new - x) > _STEP_TOL]
+        if not active.size:
+            break
+    # a polished maximum that stays at the edge is reported as the edge
+    edge = np.where(at_lo, 0.0, math.pi)
+    boundary = ~flat & (at_lo | at_hi) & (np.abs(u_hat - edge) < 1e-6)
+    u_hat[boundary] = edge[boundary]
 
-    if n_boundary:
+    if boundary.any():
         warnings.warn(
-            f"{n_boundary} block estimate(s) at the branch boundary "
+            f"{boundary.sum()} block estimate(s) at the branch boundary "
             "(fringe extremum): no curvature information past the edge",
             DegenerateEstimateWarning,
             stacklevel=2,
         )
-    if n_flat:
+    if flat.any():
         warnings.warn(
-            f"{n_flat} block(s) with an exactly flat likelihood; returning "
+            f"{flat.sum()} block(s) with an exactly flat likelihood; returning "
             "the branch midpoint",
             DegenerateEstimateWarning,
             stacklevel=2,
         )
-    return estimates / 3.0
+    return u_hat / 3.0
 
 
 @dataclass(frozen=True)
@@ -420,11 +423,7 @@ class BlockStats:
         }
         if include_estimates:
             doc["estimates"] = list(self.estimates)
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return dump_json(doc, path)
 
 
 def block_stats(estimates, k_bar=None):

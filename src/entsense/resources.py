@@ -13,10 +13,10 @@ the B side cross their phase plate twice, so each one counts twice in n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
+from .config import dump_json
 from .errors import ConfigurationError, DomainError
 from .model import CHANNELS
 
@@ -200,19 +200,18 @@ class ResourceAudit:
                 recorded[ch] += count
         return cls.from_counts(recorded, source.mu, dict(eff.eta))
 
-    def to_json(self, path=None):
-        doc = {
+    def as_dict(self):
+        """The document to_json writes, as a dict."""
+        return {
             "N_i": {ch: self.N_i[ch] for ch in CHANNELS},
             "N_tilde_i": {ch: self.N_tilde_i[ch] for ch in CHANNELS},
             "n": self.n,
             "mu": self.mu,
             "eta": {ch: self.eta[ch] for ch in CHANNELS},
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+
+    def to_json(self, path=None):
+        return dump_json(self.as_dict(), path)
 
 
 @dataclass(frozen=True)
@@ -253,8 +252,9 @@ class PrecisionReport:
             params=dict(params or {}),
         )
 
-    def to_json(self, path=None):
-        doc = {
+    def as_dict(self):
+        """The document to_json writes, as a dict."""
+        return {
             "theta_hat": self.theta_hat,
             "delta_hat": self.delta_hat,
             "delta_err": self.delta_err,
@@ -262,10 +262,8 @@ class PrecisionReport:
             "snl": self.snl,
             "hl": self.hl,
             "db_below_snl": self.db_below_snl,
-            "params": self.params,
+            "params": dict(self.params),
         }
-        text = json.dumps(doc, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+
+    def to_json(self, path=None):
+        return dump_json(self.as_dict(), path)

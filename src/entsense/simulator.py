@@ -30,6 +30,7 @@ Two sampling paths are exposed:
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -281,7 +282,9 @@ def run_experiment(config, *, workers=None, event_log=None):
             threaded = workers and workers > 1
             pool = ThreadPoolExecutor(max_workers=workers) if threaded else None
             with pool or nullcontext():
-                for lo, patterns, m in (pool.map if pool else map)(draw, chunks):
+                drawn = (_in_order(pool, draw, chunks, 2 * workers) if pool
+                         else map(draw, chunks))
+                for lo, patterns, m in drawn:
                     counts += np.bincount(patterns, minlength=N_PATTERNS)
                     truth += int(m.sum(dtype=np.int64))
                     if log_fh is not None:
@@ -293,6 +296,25 @@ def run_experiment(config, *, workers=None, event_log=None):
     finally:
         if close_log and log_fh is not None:
             log_fh.close()
+
+
+def _in_order(pool, fn, items, depth):
+    """pool.map that keeps at most depth items submitted and not consumed.
+
+    pool.map submits every item at once, so with a slow consumer (the
+    event-log writer) finished chunks would pile up in memory.
+    """
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == depth:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _write_log_chunk(fh, lo, setting_index, patterns, m):

@@ -8,10 +8,15 @@ construction of count vectors proportional to the single-pair law.
 
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from entsense import estimation
+from entsense.cli import analytic_calibration
 from entsense.errors import (
     ConfigurationError,
     DegenerateEstimateWarning,
@@ -32,6 +37,7 @@ from entsense.estimation import (
 from entsense.events import Tally
 from entsense.model import (
     COINCIDENCE_PATTERNS,
+    INFORMATIVE_PATTERNS,
     EfficiencyBudget,
     SourceParams,
     coincidence_probs,
@@ -356,6 +362,163 @@ class TestEstimateBlocks:
             estimate_blocks(np.zeros(9, dtype=int), cal)
         with pytest.raises(ConfigurationError):
             estimate_blocks(np.zeros((3, 7), dtype=int), cal)
+
+
+def brent_estimate_blocks(block_counts, cal, include_rest=False):
+    """The per-block bounded-Brent polish that the batched Newton solve
+    replaced, kept as its reference: (u estimates, boundary and flat
+    counts)."""
+    cats = block_category_counts(block_counts, include_rest)
+    u_grid = np.linspace(0.0, math.pi, estimation._GRID_SIZE + 2)[1:-1]
+    loglike = cats @ estimation._category_log_probs(u_grid, cal, include_rest).T
+    best = np.argmax(loglike, axis=1)
+    flat = loglike.max(axis=1) - loglike.min(axis=1) < 1e-12
+
+    def refine(row, lo, hi):
+        def neg_loglike(u):
+            logp = estimation._category_log_probs(np.array([u]), cal, include_rest)[0]
+            return -float(np.dot(row, logp))
+        return float(minimize_scalar(neg_loglike, bounds=(lo, hi), method="bounded",
+                                     options={"xatol": 1e-12}).x)
+
+    u_hat = np.empty(len(cats))
+    n_boundary = n_flat = 0
+    for i, b in enumerate(best):
+        if flat[i]:
+            u_hat[i] = math.pi / 2
+            n_flat += 1
+            continue
+        lo = 0.0 if b == 0 else u_grid[b - 1]
+        hi = math.pi if b == len(u_grid) - 1 else u_grid[b + 1]
+        u_hat[i] = refine(cats[i], lo, hi)
+        if b in (0, len(u_grid) - 1):
+            edge = 0.0 if b == 0 else math.pi
+            if abs(u_hat[i] - edge) < 1e-6:
+                u_hat[i] = edge
+                n_boundary += 1
+    return u_hat, n_boundary, n_flat
+
+
+def block_category_counts(block_counts, include_rest):
+    slots = [INFORMATIVE_PATTERNS.index(p) for p in COINCIDENCE_PATTERNS]
+    coinc = block_counts[:, slots]
+    if not include_rest:
+        return coinc
+    return np.column_stack([coinc, block_counts.sum(axis=1) - coinc.sum(axis=1)])
+
+
+def loglike(cats, cal, include_rest, u):
+    return cats @ estimation._category_log_probs(np.atleast_1d(u), cal, include_rest).T
+
+
+def degenerate_counts(caught):
+    counts = {"boundary": 0, "flat": 0}
+    for w in caught:
+        assert issubclass(w.category, DegenerateEstimateWarning)
+        kind = "boundary" if "boundary" in str(w.message) else "flat"
+        counts[kind] += int(str(w.message).split()[0])
+    return counts["boundary"], counts["flat"]
+
+
+class TestBatchedPolish:
+    """The vectorized Newton polish against the per-block Brent reference.
+
+    Brent's bounded search stops at sqrt(eps)*|u| + xatol/3, so the
+    reference sits up to a few 1e-8 in u from the likelihood's
+    stationary point; the batched solve lands on it.
+    """
+
+    SOURCE = SourceParams(mu=MU_240, visibility=V_240)
+    EFF = EfficiencyBudget(ETA_240)
+
+    @pytest.fixture(scope="class")
+    def calibrations(self):
+        cal = analytic_calibration(self.SOURCE, self.EFF)
+        return {"fit": cal, "shifted": replace(cal, phase_offset=0.2)}
+
+    def blocks(self, u):
+        rng = stream_generator(2024, LANE_BLOCKS, setting_index=int(100 * u))
+        return sample_blocked_run(self.SOURCE, self.EFF, u, k_bar=6200, s=40,
+                                  rng=rng).block_counts
+
+    @pytest.mark.parametrize("cal_name", ["fit", "shifted"])
+    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("u", [0.6, 1.3, 2.0, 2.7])
+    def test_matches_brent_reference_and_is_stationary(self, calibrations, cal_name,
+                                                       include_rest, u):
+        cal = calibrations[cal_name]
+        block_counts = self.blocks(u)
+        got = 3.0 * estimate_blocks(block_counts, cal, include_rest=include_rest)
+        want, n_boundary, n_flat = brent_estimate_blocks(block_counts, cal,
+                                                         include_rest)
+        assert (n_boundary, n_flat) == (0, 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+        cats = block_category_counts(block_counts, include_rest)
+        g, h = estimation._loglike_slopes(cats, cal, include_rest, got)
+        assert np.all(h < 0)
+        assert np.max(np.abs(g / h)) <= 1e-12
+
+    @pytest.mark.parametrize("include_rest", [False, True])
+    def test_slopes_match_finite_differences(self, calibrations, include_rest):
+        cal = calibrations["shifted"]
+        cats = block_category_counts(self.blocks(1.3), include_rest)
+        u = np.linspace(0.3, 2.9, len(cats))
+        g, h = estimation._loglike_slopes(cats, cal, include_rest, u)
+        for i in range(len(cats)):
+            at = lambda x: loglike(cats[i], cal, include_rest, x)[0]
+            d = 1e-5
+            assert g[i] == pytest.approx((at(u[i] + d) - at(u[i] - d)) / (2 * d),
+                                         rel=1e-6)
+            d = 1e-4
+            assert h[i] == pytest.approx(
+                (at(u[i] + d) - 2 * at(u[i]) + at(u[i] - d)) / d**2, rel=1e-5)
+
+    def test_clipped_rest_term_adds_nothing(self):
+        # equal offsets make R = 1 at every u, so the rest probability is
+        # clipped to 1e-12 and the rest events carry no phase information
+        cal = FringeFit.ideal(visibility=0.95)
+        block_counts = self.blocks(1.3)
+        assert np.all(block_category_counts(block_counts, True)[:, 4] > 0)
+        np.testing.assert_allclose(
+            estimate_blocks(block_counts, cal, include_rest=True),
+            estimate_blocks(block_counts, cal), rtol=0, atol=1e-12)
+
+    def test_mixed_batch_keeps_degenerate_semantics(self):
+        cal = FringeFit.ideal()
+        slot = INFORMATIVE_PATTERNS.index
+        lower_edge = np.zeros(9, dtype=np.int64)
+        lower_edge[[slot(0b0110), slot(0b1001)]] = 500  # A1B2, A2B1
+        upper_edge = np.zeros(9, dtype=np.int64)
+        upper_edge[[slot(0b0101), slot(0b1010)]] = 500  # A1B1, A2B2
+        flat = np.zeros(9, dtype=np.int64)
+        flat[slot(0b0111)] = 10  # threefold only: no coincidences
+        # maxima inside the first grid cell (pi/4097 wide), from counts
+        # proportional to the law: at 5e-7 the 1e-6 edge rule reports the
+        # edge; at 2e-6, where cos(u) = 1 - 2e-12, it must not
+        near = {}
+        for u, events in ((3e-4, 1e12), (5e-7, 1e17), (2e-6, 1e16)):
+            near[u] = np.zeros(9, dtype=np.int64)
+            for p, q in zip(COINCIDENCE_PATTERNS, coincidence_probs(u, 1.0)):
+                near[u][slot(p)] = round(q * events)
+        rng = stream_generator(12345, LANE_BLOCKS)
+        ordinary = sample_blocked_run(SourceParams(mu=1e-3, visibility=1.0),
+                                      EfficiencyBudget.uniform(1.0), 1.2,
+                                      k_bar=900, s=5, rng=rng).block_counts
+        batch = np.vstack([ordinary[:2], lower_edge, flat, near[3e-4], upper_edge,
+                           near[5e-7], near[2e-6], ordinary[2:]])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = 3.0 * estimate_blocks(batch, cal)
+        want, n_boundary, n_flat = brent_estimate_blocks(batch, cal)
+        assert (n_boundary, n_flat) == (3, 1)
+        assert degenerate_counts(caught) == (n_boundary, n_flat)
+        assert len(caught) == 2
+        assert (got[2], got[3], got[5], got[6]) == (0.0, math.pi / 2, math.pi, 0.0)
+        np.testing.assert_array_equal(got[[2, 3, 5, 6]], want[[2, 3, 5, 6]])
+        assert got[4] == pytest.approx(3e-4, rel=1e-6)
+        assert got[7] == pytest.approx(2e-6, rel=1e-6)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
 
 
 class TestBlockStats:

@@ -275,6 +275,7 @@ class TestResourceAudit:
         assert set(doc) == {"N_i", "N_tilde_i", "n", "mu", "eta"}
         assert set(doc["N_i"]) == set(CHANNELS)
         assert doc["n"] == audit.n
+        assert audit.as_dict() == doc
 
 
 class TestPrecisionReport:
@@ -315,6 +316,7 @@ class TestPrecisionReport:
         assert set(doc) == {"theta_hat", "delta_hat", "delta_err", "n",
                             "snl", "hl", "db_below_snl", "params"}
         assert doc["params"] == {"k_bar": 4750, "s": 400}
+        assert report.as_dict() == doc
 
 
 class TestCompositionWithModel:

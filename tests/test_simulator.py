@@ -6,11 +6,14 @@ test_model) is the oracle for every sampled frequency here.
 
 import io
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from entsense import simulator
 from entsense.errors import ConfigurationError, EmptyStatisticsError
 from entsense.events import Tally, coincidence_fractions
 from entsense.model import (
@@ -162,6 +165,39 @@ class TestRunExperiment:
         assert r1.tallies == r4.tallies
         assert r1.truth_pairs == r4.truth_pairs
         assert log1.getvalue() == log4.getvalue()
+
+    def test_threaded_run_bounds_chunks_in_flight(self, monkeypatch):
+        # behind a slow log writer, at most 2 * workers chunks may be
+        # started and not yet written
+        workers = 4
+        lock = threading.Lock()
+        state = {"started": 0, "consumed": 0, "peak": 0}
+        real_sample, real_write = simulator.sample_patterns, simulator._write_log_chunk
+
+        def sample(*args):
+            with lock:
+                state["started"] += 1
+                in_flight = state["started"] - state["consumed"]
+                state["peak"] = max(state["peak"], in_flight)
+            return real_sample(*args)
+
+        def slow_write(*args):
+            time.sleep(0.005)
+            real_write(*args)
+            with lock:
+                state["consumed"] += 1
+
+        cfg = self.make_config(pulses_per_setting=40 * 1024, chunk_size=1024)
+        monkeypatch.setattr(simulator, "sample_patterns", sample)
+        monkeypatch.setattr(simulator, "_write_log_chunk", slow_write)
+        log = io.StringIO()
+        result = run_experiment(cfg, workers=workers, event_log=log)
+        monkeypatch.undo()
+        assert state["started"] == state["consumed"] == 2 * 40
+        assert state["peak"] <= 2 * workers
+        serial_log = io.StringIO()
+        assert run_experiment(cfg, event_log=serial_log).tallies == result.tallies
+        assert serial_log.getvalue() == log.getvalue()
 
     def test_short_final_chunk(self):
         cfg = self.make_config(pulses_per_setting=100_001, chunk_size=1 << 15)
