@@ -246,9 +246,8 @@ _COINC_SLOTS = [INFORMATIVE_PATTERNS.index(p) for p in COINCIDENCE_PATTERNS]
 _REST_SLOTS = [
     j for j, p in enumerate(INFORMATIVE_PATTERNS) if p not in COINCIDENCE_PATTERNS
 ]
-_GRID_SIZE = 4096
-_STEP_TOL = 8.0 * np.finfo(float).eps  # Newton polish: a few ulp of u ~ 1
-_MAX_STEPS = 64  # bisection alone takes a two-cell bracket to _STEP_TOL in 41
+_STEP_TOL = 8.0 * np.finfo(float).eps  # Newton solve: a few ulp of u ~ 1
+_MAX_STEPS = 64  # bisection alone takes a piece of width pi to _STEP_TOL in 51
 
 
 def _category_log_probs(u_grid, calibration, include_rest):
@@ -299,10 +298,7 @@ def mle_phase(tally, calibration, include_rest=False):
     fractions; include_rest=True adds them as a fifth category with its
     own phase dependence.
 
-    A maximum at the branch edge (fringe extremum, no curvature
-    information on one side) is returned as the boundary value with a
-    DegenerateEstimateWarning, as is an exactly flat likelihood, which
-    returns the branch midpoint.
+    Degenerate cases follow estimate_blocks' rules and warnings.
     """
     if isinstance(tally, Tally):
         if tally.c_sum == 0:
@@ -330,10 +326,18 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
 
     block_counts is (s, 9) over INFORMATIVE_PATTERNS order (as produced
     by the blocked samplers), or pre-reduced category counts when flagged.
-    The likelihood is evaluated on a shared u grid over (0, pi) for every
-    block at once, then all grid maxima are polished to stationary points
-    by one safeguarded Newton solve.  Boundary and flat-likelihood blocks
-    get the documented degenerate treatment and one summary warning each.
+
+    L depends on u only through c = cos(u + phi0) and has at most one
+    stationary point in c, a maximum (Cauchy-Schwarz; concavity with
+    include_rest).  c turns at -phi0 mod pi; the longer of the two monotone
+    pieces of [0, pi] spans the other's c range, so it brackets one
+    safeguarded Newton solve for all blocks, started at arccos(c) - phi0 for
+    the least-squares c of the coincidence fractions clipped to [-1, 1], or
+    at the piece's midpoint when that is outside the open piece.  Ties: u
+    and (-2*phi0 - u) mod 2*pi share L to rounding (< 1e-12 |L|); the lower
+    is returned.  Flat (L(u_hat) < 1e-12 above the lower piece end): the
+    branch midpoint.  Boundary: a maximum within 1e-6 of 0 or pi is that
+    edge.  Flat and boundary blocks raise one summary warning each.
     """
     block_counts = np.asarray(block_counts, dtype=np.int64)
     if block_counts.ndim != 2:
@@ -352,25 +356,21 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
         else:
             cats = coinc
 
-    nodes = np.linspace(0.0, math.pi, _GRID_SIZE + 2)  # the grid is nodes[1:-1]
-    log_probs = _category_log_probs(nodes[1:-1], calibration, include_rest)
-    loglike = cats @ log_probs.T  # (s, G)
+    phi0 = calibration.phase_offset
+    turn = -phi0 % math.pi  # where cos(u + phi0) turns; 0 when phi0 = 0
+    left, right = (0.0, turn) if turn >= math.pi / 2.0 else (turn, math.pi)
+    a = np.array(calibration.offsets)
+    b = a * np.array(FRINGE_SIGNS) * calibration.visibility_hat
+    fracs = cats[:, :4] / np.maximum(cats[:, :4].sum(axis=1, keepdims=True), 1)
+    c = (fracs * a.sum() - a) @ b / max(b @ b, np.finfo(float).tiny)
+    start = np.arccos(np.clip(c, -1.0, 1.0)) - phi0
+    u_hat = np.where((left < start) & (start < right), start, (left + right) / 2.0)
 
-    best = np.argmax(loglike, axis=1)
-    spread = loglike.max(axis=1) - loglike.min(axis=1)
-    flat = spread < 1e-12
-    at_lo = best == 0
-    at_hi = best == _GRID_SIZE - 1
-
-    # Safeguarded Newton (rtsafe) on L'(u) = 0 across all blocks, within
-    # the grid cells either side of each maximum; nodes[0] = 0 and
-    # nodes[-1] = pi close the edge cells.  A step moves one bracket end to
-    # u by the sign of L', then takes the Newton step if L'' < 0 and it
-    # lands strictly inside the bracket or is zero (converged), else
-    # bisects; a block whose L' keeps one sign runs to the best bracket end.
-    u_hat = np.where(flat, math.pi / 2.0, nodes[best + 1])
-    lo, hi = nodes[best], nodes[best + 2]
-    active = np.flatnonzero(~flat)
+    # Safeguarded Newton (rtsafe) on L'(u) = 0: a step moves one bracket end
+    # to u by the sign of L', then takes the Newton step if L'' < 0 and it
+    # lands strictly inside the bracket or is zero (converged), else bisects.
+    lo, hi = np.full(len(cats), left), np.full(len(cats), right)
+    active = np.arange(len(cats))
     for _ in range(_MAX_STEPS):
         x = u_hat[active]
         g, h = _loglike_slopes(cats[active], calibration, include_rest, x)
@@ -382,25 +382,24 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
         active = active[abs(u_new - x) > _STEP_TOL]
         if not active.size:
             break
-    # a polished maximum that stays at the edge is reported as the edge
-    edge = np.where(at_lo, 0.0, math.pi)
-    boundary = ~flat & (at_lo | at_hi) & (np.abs(u_hat - edge) < 1e-6)
+    logp = _category_log_probs(np.append(u_hat, [left, right]), calibration,
+                               include_rest)
+    peak = (cats * logp[:-2]).sum(axis=1)
+    flat = peak - (cats[:, None, :] * logp[-2:]).sum(axis=2).min(axis=1) < 1e-12
+    u_hat = np.minimum(u_hat, (-2.0 * phi0 - u_hat) % (2.0 * math.pi))
+    u_hat[flat] = math.pi / 2.0
+    edge = np.where(u_hat < math.pi / 2.0, 0.0, math.pi)
+    boundary = ~flat & (np.abs(u_hat - edge) < 1e-6)
     u_hat[boundary] = edge[boundary]
 
     if boundary.any():
-        warnings.warn(
-            f"{boundary.sum()} block estimate(s) at the branch boundary "
-            "(fringe extremum): no curvature information past the edge",
-            DegenerateEstimateWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"{boundary.sum()} block estimate(s) at the branch boundary "
+                      "(fringe extremum): no curvature information past the edge",
+                      DegenerateEstimateWarning, stacklevel=2)
     if flat.any():
-        warnings.warn(
-            f"{flat.sum()} block(s) with an exactly flat likelihood; returning "
-            "the branch midpoint",
-            DegenerateEstimateWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"{flat.sum()} block(s) with an exactly flat likelihood; "
+                      "returning the branch midpoint",
+                      DegenerateEstimateWarning, stacklevel=2)
     return u_hat / 3.0
 
 

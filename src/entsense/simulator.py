@@ -59,7 +59,6 @@ __all__ = [
     "LANE_BITS",
     "ExperimentConfig",
     "ExperimentResult",
-    "EventRecord",
     "BlockedRunSample",
     "stream_generator",
     "sample_pulse",
@@ -159,16 +158,6 @@ class ExperimentConfig:
         n_chunks = -(-self.pulses_per_setting // self.chunk_size)
         if n_chunks >= 2**32:
             raise ConfigurationError("too many chunks for the stream layout")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One pulse of the event log: what a time-tag record reduces to here."""
-
-    pulse_index: int
-    setting_index: int
-    pattern: int
-    truth_pairs: int
 
 
 @dataclass

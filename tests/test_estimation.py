@@ -8,6 +8,7 @@ construction of count vectors proportional to the single-pair law.
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from scipy.optimize import minimize_scalar
 
 from entsense import estimation
 from entsense.cli import analytic_calibration
+from entsense.config import load_preset
 from entsense.errors import (
     ConfigurationError,
     DegenerateEstimateWarning,
@@ -364,12 +366,15 @@ class TestEstimateBlocks:
             estimate_blocks(np.zeros((3, 7), dtype=int), cal)
 
 
+GRID_SIZE = 4096  # the u grid of both references below
+
+
 def brent_estimate_blocks(block_counts, cal, include_rest=False):
     """The per-block bounded-Brent polish that the batched Newton solve
     replaced, kept as its reference: (u estimates, boundary and flat
     counts)."""
     cats = block_category_counts(block_counts, include_rest)
-    u_grid = np.linspace(0.0, math.pi, estimation._GRID_SIZE + 2)[1:-1]
+    u_grid = np.linspace(0.0, math.pi, GRID_SIZE + 2)[1:-1]
     loglike = cats @ estimation._category_log_probs(u_grid, cal, include_rest).T
     best = np.argmax(loglike, axis=1)
     flat = loglike.max(axis=1) - loglike.min(axis=1) < 1e-12
@@ -397,6 +402,39 @@ def brent_estimate_blocks(block_counts, cal, include_rest=False):
                 u_hat[i] = edge
                 n_boundary += 1
     return u_hat, n_boundary, n_flat
+
+
+def grid_estimate_blocks(block_counts, cal, include_rest=False):
+    """The grid-plus-Newton solve that the grid-free one replaced, kept as
+    its reference: each block's best point of a 4096-point u grid, polished
+    by the safeguarded Newton loop within the grid cells either side.
+    Returns (u estimates, boundary and flat counts)."""
+    cats = block_category_counts(block_counts, include_rest)
+    nodes = np.linspace(0.0, math.pi, GRID_SIZE + 2)  # the grid is nodes[1:-1]
+    loglike = cats @ estimation._category_log_probs(nodes[1:-1], cal, include_rest).T
+    best = np.argmax(loglike, axis=1)
+    flat = loglike.max(axis=1) - loglike.min(axis=1) < 1e-12
+    at_lo = best == 0
+    at_hi = best == GRID_SIZE - 1
+
+    u_hat = np.where(flat, math.pi / 2.0, nodes[best + 1])
+    lo, hi = nodes[best], nodes[best + 2]
+    active = np.flatnonzero(~flat)
+    for _ in range(estimation._MAX_STEPS):
+        x = u_hat[active]
+        g, h = estimation._loglike_slopes(cats[active], cal, include_rest, x)
+        lo[active] = b_lo = np.where(g > 0, x, lo[active])
+        hi[active] = b_hi = np.where(g > 0, hi[active], x)
+        newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
+        inside = (h < 0) & (((b_lo < newton) & (newton < b_hi)) | (newton == x))
+        u_hat[active] = u_new = np.where(inside, newton, (b_lo + b_hi) / 2)
+        active = active[abs(u_new - x) > estimation._STEP_TOL]
+        if not active.size:
+            break
+    edge = np.where(at_lo, 0.0, math.pi)
+    boundary = ~flat & (at_lo | at_hi) & (np.abs(u_hat - edge) < 1e-6)
+    u_hat[boundary] = edge[boundary]
+    return u_hat, int(boundary.sum()), int(flat.sum())
 
 
 def block_category_counts(block_counts, include_rest):
@@ -519,6 +557,137 @@ class TestBatchedPolish:
         assert got[4] == pytest.approx(3e-4, rel=1e-6)
         assert got[7] == pytest.approx(2e-6, rel=1e-6)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+
+
+PRESETS = ("paper-240m", "paper-10km", "ideal")
+
+
+@pytest.fixture(scope="module")
+def precision_scans():
+    """Per preset: its analytic calibration and the block counts of its
+    precision scan's interior setpoints, drawn as `precision` draws them."""
+    scans = {}
+    for name in PRESETS:
+        config = load_preset(name)
+        source, eff = config.source, config.require("efficiency")
+        blocks, points = config.require("blocks"), config.require("scan").points
+        runs = []
+        for j in range(points):
+            u = 3.0 * (math.pi / 3.0 * (j + 1) / (points + 1))
+            rng = stream_generator(config.seed, LANE_BLOCKS, setting_index=j)
+            runs.append(sample_blocked_run(source, eff, u, blocks.k_bar, blocks.s,
+                                           rng, setting_index=j).block_counts)
+        scans[name] = (analytic_calibration(source, eff), runs)
+    return scans
+
+
+def estimate_with_counts(block_counts, cal, include_rest=False):
+    """(u estimates, boundary and flat counts) from estimate_blocks."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        u = 3.0 * estimate_blocks(block_counts, cal, include_rest=include_rest)
+    return (u, *degenerate_counts(caught))
+
+
+class TestGridFree:
+    """The grid-free solve against the grid-plus-Newton reference, and the
+    piece, mirror-tie and degenerate rules it states for phi0 != 0."""
+
+    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_grid_reference_on_precision_scans(self, precision_scans, preset,
+                                                       include_rest):
+        cal, runs = precision_scans[preset]
+        for block_counts in runs:
+            got, *got_counts = estimate_with_counts(block_counts, cal, include_rest)
+            want, *want_counts = grid_estimate_blocks(block_counts, cal, include_rest)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert got_counts == want_counts
+
+    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("u", [0.0, math.pi])
+    def test_matches_grid_reference_at_fringe_extrema(self, precision_scans, u,
+                                                      include_rest):
+        # about half the blocks of an extremum setting land on the edge
+        cal = precision_scans["paper-240m"][0]
+        rng = stream_generator(24001, LANE_BLOCKS, setting_index=99)
+        block_counts = sample_blocked_run(
+            TestBatchedPolish.SOURCE, TestBatchedPolish.EFF, u, k_bar=6200, s=400,
+            rng=rng).block_counts
+        got, *got_counts = estimate_with_counts(block_counts, cal, include_rest)
+        want, *want_counts = grid_estimate_blocks(block_counts, cal, include_rest)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert got_counts == want_counts
+        assert 100 < got_counts[0] < 300
+
+    @pytest.mark.parametrize("phase_offset", [0.2, -0.2, 2.0])
+    def test_shifted_calibration_matches_dense_grid(self, precision_scans, phase_offset):
+        cal = replace(precision_scans["paper-240m"][0], phase_offset=phase_offset)
+        block_counts = np.vstack([
+            sample_blocked_run(TestBatchedPolish.SOURCE, TestBatchedPolish.EFF, u,
+                               k_bar=6200, s=12,
+                               rng=stream_generator(7, LANE_BLOCKS, setting_index=i)
+                               ).block_counts
+            for i, u in enumerate((0.1, 1.6, 3.0))])
+        got = estimate_with_counts(block_counts, cal)[0]
+        cats = block_category_counts(block_counts, False)
+        dense = np.linspace(0.0, math.pi, 50_001)
+        dense_loglike = loglike(cats, cal, False, dense)
+        at_got = np.array([loglike(row, cal, False, u)[0] for row, u in zip(cats, got)])
+        # no point of the dense grid beats an estimate
+        assert np.all(at_got >= dense_loglike.max(axis=1) - 1e-12 * np.abs(at_got))
+        # the dense argmax is the estimate or its mirror, which ties in L; on
+        # a tie the estimate is the lower of the two
+        mirror = (-2.0 * phase_offset - got) % (2.0 * math.pi)
+        best = dense[np.argmax(dense_loglike, axis=1)]
+        assert np.all(np.minimum(abs(got - best), abs(mirror - best)) <= dense[1])
+        tied = (mirror <= math.pi) & (abs(mirror - got) > 1e-9)
+        assert np.all(got[tied] < mirror[tied])
+        turn = -phase_offset % math.pi
+        past_turn = ~tied & (got > turn + 1e-3) & (got < math.pi)
+        if phase_offset == 0.2:
+            assert tied.sum() >= 6
+        else:  # the maximum past the turn is found there
+            assert past_turn.sum() >= 12
+
+    def test_mirror_ties_keep_the_lower_u(self, precision_scans):
+        # at phi0 = 0.2 a maximum past pi - phi0 has a mirror below it with
+        # the same likelihood, as at the setpoint nearest pi/3
+        cal, runs = precision_scans["paper-240m"]
+        shifted = replace(cal, phase_offset=0.2)
+        got = 3.0 * estimate_blocks(runs[-1], shifted)
+        mirror = (-0.4 - got) % (2.0 * math.pi)
+        tied = mirror <= math.pi
+        assert tied.sum() > 100
+        assert np.all(got[tied] < mirror[tied])
+        cats = block_category_counts(runs[-1], False)[tied]
+        at_got = loglike(cats, shifted, False, got[tied]).diagonal()
+        at_mirror = loglike(cats, shifted, False, mirror[tied]).diagonal()
+        np.testing.assert_allclose(at_mirror, at_got, rtol=1e-12, atol=0)
+
+    def test_one_call_peak_memory(self, precision_scans):
+        cal, runs = precision_scans["paper-240m"]
+        tracemalloc.start()
+        try:
+            estimate_blocks(runs[6], cal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs[6]) == 1595
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("include_rest", [False, True])
+    def test_zero_visibility_is_flat_everywhere(self, precision_scans, include_rest):
+        # the moment start divides by the fitted visibility
+        block_counts = precision_scans["paper-240m"][1][6]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            got = estimate_blocks(block_counts, FringeFit.ideal(visibility=0.0),
+                                  include_rest=include_rest)
+        np.testing.assert_array_equal(got, math.pi / 2.0 / 3.0)
+        assert len(caught) == 1
+        assert degenerate_counts(caught) == (0, len(block_counts))
 
 
 class TestBlockStats:
