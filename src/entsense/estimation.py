@@ -369,6 +369,8 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
     # Safeguarded Newton (rtsafe) on L'(u) = 0: a step moves one bracket end
     # to u by the sign of L', then takes the Newton step if L'' < 0 and it
     # lands strictly inside the bracket or is zero (converged), else bisects.
+    # A row stops once its bracket lies within 1e-6 of 0 or pi: the boundary
+    # rule below sets any u there to the edge.
     lo, hi = np.full(len(cats), left), np.full(len(cats), right)
     active = np.arange(len(cats))
     for _ in range(_MAX_STEPS):
@@ -379,7 +381,8 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
         inside = (h < 0) & (((b_lo < newton) & (newton < b_hi)) | (newton == x))
         u_hat[active] = u_new = np.where(inside, newton, (b_lo + b_hi) / 2)
-        active = active[abs(u_new - x) > _STEP_TOL]
+        active = active[(abs(u_new - x) > _STEP_TOL) & (b_hi >= 1e-6)
+                        & (math.pi - b_lo >= 1e-6)]
         if not active.size:
             break
     logp = _category_log_probs(np.append(u_hat, [left, right]), calibration,

@@ -29,6 +29,7 @@ Two sampling paths are exposed:
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import deque
 from contextlib import nullcontext
@@ -78,6 +79,7 @@ LANE_BLOCKS = 2  # blocked-run shortcut
 LANE_BITS = 3  # random-bit source (phase QRNG stand-in)
 
 _DEFAULT_CHUNK = 1 << 20
+_LOG_SLICE = 1 << 16  # rows formatted at once; bounds the writer's temporaries
 
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
 
@@ -307,13 +309,38 @@ def _in_order(pool, fn, items, depth):
 
 
 def _write_log_chunk(fh, lo, setting_index, patterns, m):
-    n = len(patterns)
-    table = np.empty((n, 4), dtype=np.int64)
-    table[:, 0] = np.arange(lo, lo + n)
-    table[:, 1] = setting_index
-    table[:, 2] = patterns
-    table[:, 3] = m
-    np.savetxt(fh, table, fmt="%d", delimiter=",")
+    for start in range(0, len(patterns), _LOG_SLICE):
+        stop = min(start + _LOG_SLICE, len(patterns))
+        columns = (np.arange(lo + start, lo + stop),
+                   np.full(stop - start, setting_index),
+                   patterns[start:stop], m[start:stop])
+        fh.write(_csv_rows(columns).decode("ascii"))
+
+
+def _csv_rows(columns):
+    """Equal-length non-negative integer columns as ASCII CSV rows.
+
+    Gives the bytes of np.savetxt(fmt="%d", delimiter=","): each row is its
+    values in decimal without leading zeros, joined by "," and ended by
+    "\n".  Each column fills a field of right-aligned digits, as wide as
+    its largest value, in one (characters, rows) uint8 matrix; reading
+    the matrix row by row past the masked leading zeros gives the text.
+    """
+    widths = [len(str(int(col.max()))) for col in columns]
+    cells = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    end = 0
+    for col, width in zip(columns, widths):
+        end += width
+        for j in range(width):  # the j-th digit from the right
+            if j:  # a leading zero: it and every digit left of it are 0
+                np.greater(col, 0, out=keep[end - 1 - j])
+            col, digit = np.divmod(col, 10)
+            np.add(digit, ord("0"), out=cells[end - 1 - j], casting="unsafe")
+        cells[end] = ord(",")
+        end += 1
+    cells[-1] = ord("\n")
+    return cells.T[keep.T].tobytes()
 
 
 def read_event_log(path_or_file):
@@ -323,30 +350,32 @@ def read_event_log(path_or_file):
     header and integer rows.  Returns an ExperimentResult whose tallies
     are ordered by setting index, with each setting's pattern column in
     log order as its patterns, for callers that cut blocks by arrival.
+    A row that is not four integers raises ConfigurationError naming its
+    line, the header being line 1.
     """
     def load(fh):
-        first = fh.readline()
-        with warnings.catch_warnings():
-            # empty logs are reported as EmptyStatisticsError below
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        return first, rows
+        first = fh.readline().strip()
+        if first != EVENT_LOG_HEADER:
+            raise ConfigurationError(
+                f"expected event-log header {EVENT_LOG_HEADER!r}, got {first!r}"
+            )
+        start = fh.tell() if fh.seekable() else None
+        rows = _parse_log_rows(fh)
+        if rows is None:
+            bad = None if start is None else _first_bad_row(fh, start)
+            where = "a row" if bad is None else f"line {bad[0]} ({bad[1]!r})"
+            raise ConfigurationError(
+                f"event log: {where} is not 4 comma-separated integers"
+            )
+        return rows
 
     if hasattr(path_or_file, "read"):
-        first, rows = load(path_or_file)
+        rows = load(path_or_file)
     else:
         with open(Path(path_or_file), newline="") as fh:
-            first, rows = load(fh)
-    if first.strip() != EVENT_LOG_HEADER:
-        raise ConfigurationError(
-            f"expected event-log header {EVENT_LOG_HEADER!r}, got {first.strip()!r}"
-        )
+            rows = load(fh)
     if rows.size == 0:
         raise EmptyStatisticsError("event log has no rows")
-    if rows.shape[1] != 4:
-        raise ConfigurationError(
-            f"event-log rows must have 4 columns, got {rows.shape[1]}"
-        )
     patterns = rows[:, 2]
     if patterns.min() < 0 or patterns.max() >= N_PATTERNS:
         raise ConfigurationError("event log contains out-of-range patterns")
@@ -364,6 +393,35 @@ def read_event_log(path_or_file):
         truth_totals.append(int(rows[sel, 3].sum()))
         pulses.append(int(sel.sum()))
     return ExperimentResult(tallies, truth_totals, pulses, streams)
+
+
+def _parse_log_rows(lines):
+    """Event-log rows as an int64 array of 4 columns (size 0 when there
+    are none), or None when a line is not 4 comma-separated integers."""
+    with warnings.catch_warnings():
+        # empty logs are reported as EmptyStatisticsError by the caller
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError:
+            return None
+    return rows if rows.size == 0 or rows.shape[1] == 4 else None
+
+
+def _first_bad_row(fh, start):
+    """(line number, text) of the first malformed row from offset start on,
+    the rows starting on line 2.  Parses a block of lines at a time and a
+    failing block line by line, so a malformed row anywhere costs about
+    one more parse."""
+    fh.seek(start)
+    first = 2
+    while lines := list(itertools.islice(fh, 1 << 14)):
+        if _parse_log_rows(lines) is None:
+            for number, line in enumerate(lines, start=first):
+                if _parse_log_rows([line]) is None:
+                    return number, line.rstrip("\r\n")
+        first += len(lines)
+    return None
 
 
 def sample_tally(source, eff, u, pulses, rng, routing="sensing", setting_index=0):

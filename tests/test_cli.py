@@ -496,6 +496,17 @@ class TestAuditCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_malformed_log_row_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", fringe_doc())
+        log = tmp_path / "bad.csv"
+        log.write_text("pulse_index,setting_index,pattern,truth_pairs\n"
+                       "0,0,5,1\n1,0,5\n")
+        code = main(["audit", "--config", cfg, "--log", str(log),
+                     "--out", str(tmp_path / "audit")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 3" in err
+
     def test_audit_parses_log_once(self, tmp_path, monkeypatch):
         import entsense.cli
 

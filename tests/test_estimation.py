@@ -437,6 +437,45 @@ def grid_estimate_blocks(block_counts, cal, include_rest=False):
     return u_hat, int(boundary.sum()), int(flat.sum())
 
 
+def converged_estimate_blocks(block_counts, cal, include_rest=False):
+    """The grid-free solve with every row iterated to _STEP_TOL, kept as the
+    reference for stopping rows whose bracket is settled by the boundary
+    rule.  Returns (u estimates, boundary and flat counts)."""
+    cats = block_category_counts(block_counts, include_rest)
+    phi0 = cal.phase_offset
+    turn = -phi0 % math.pi
+    left, right = (0.0, turn) if turn >= math.pi / 2.0 else (turn, math.pi)
+    a = np.array(cal.offsets)
+    b = a * np.array(FRINGE_SIGNS) * cal.visibility_hat
+    fracs = cats[:, :4] / np.maximum(cats[:, :4].sum(axis=1, keepdims=True), 1)
+    c = (fracs * a.sum() - a) @ b / max(b @ b, np.finfo(float).tiny)
+    start = np.arccos(np.clip(c, -1.0, 1.0)) - phi0
+    u_hat = np.where((left < start) & (start < right), start, (left + right) / 2.0)
+    lo, hi = np.full(len(cats), left), np.full(len(cats), right)
+    active = np.arange(len(cats))
+    for _ in range(estimation._MAX_STEPS):
+        x = u_hat[active]
+        g, h = estimation._loglike_slopes(cats[active], cal, include_rest, x)
+        lo[active] = b_lo = np.where(g > 0, x, lo[active])
+        hi[active] = b_hi = np.where(g > 0, hi[active], x)
+        newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
+        inside = (h < 0) & (((b_lo < newton) & (newton < b_hi)) | (newton == x))
+        u_hat[active] = u_new = np.where(inside, newton, (b_lo + b_hi) / 2)
+        active = active[abs(u_new - x) > estimation._STEP_TOL]
+        if not active.size:
+            break
+    logp = estimation._category_log_probs(np.append(u_hat, [left, right]), cal,
+                                          include_rest)
+    peak = (cats * logp[:-2]).sum(axis=1)
+    flat = peak - (cats[:, None, :] * logp[-2:]).sum(axis=2).min(axis=1) < 1e-12
+    u_hat = np.minimum(u_hat, (-2.0 * phi0 - u_hat) % (2.0 * math.pi))
+    u_hat[flat] = math.pi / 2.0
+    edge = np.where(u_hat < math.pi / 2.0, 0.0, math.pi)
+    boundary = ~flat & (np.abs(u_hat - edge) < 1e-6)
+    u_hat[boundary] = edge[boundary]
+    return u_hat, int(boundary.sum()), int(flat.sum())
+
+
 def block_category_counts(block_counts, include_rest):
     slots = [INFORMATIVE_PATTERNS.index(p) for p in COINCIDENCE_PATTERNS]
     coinc = block_counts[:, slots]
@@ -619,6 +658,35 @@ class TestGridFree:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert got_counts == want_counts
         assert 100 < got_counts[0] < 300
+
+    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("u", [0.0, math.pi])
+    def test_edge_rows_stop_early_with_identical_results(self, precision_scans,
+                                                         monkeypatch, u, include_rest):
+        # a row whose bracket lies within 1e-6 of 0 or pi stops iterating;
+        # the boundary rule gives it the edge either way
+        cal = precision_scans["paper-240m"][0]
+        rng = stream_generator(24001, LANE_BLOCKS, setting_index=99)
+        block_counts = sample_blocked_run(
+            TestBatchedPolish.SOURCE, TestBatchedPolish.EFF, u, k_bar=6200, s=400,
+            rng=rng).block_counts
+        rows = []
+        real_slopes = estimation._loglike_slopes
+
+        def counting_slopes(cats, *args):
+            rows.append(len(cats))
+            return real_slopes(cats, *args)
+
+        monkeypatch.setattr(estimation, "_loglike_slopes", counting_slopes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = estimate_blocks(block_counts, cal, include_rest=include_rest)
+        got_rows, rows[:] = sum(rows), []
+        want, *want_counts = converged_estimate_blocks(block_counts, cal, include_rest)
+        np.testing.assert_array_equal(got, want / 3.0)
+        assert list(degenerate_counts(caught)) == want_counts
+        assert len(caught) == 1 and 100 < want_counts[0] < 300
+        assert got_rows < 0.7 * sum(rows)
 
     @pytest.mark.parametrize("phase_offset", [0.2, -0.2, 2.0])
     def test_shifted_calibration_matches_dense_grid(self, precision_scans, phase_offset):

@@ -6,8 +6,10 @@ test_model) is the oracle for every sampled frequency here.
 
 import io
 import math
+import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +253,38 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             read_event_log(out_of_range)
 
+    @pytest.mark.parametrize("row", ["1,0,x,1", "1,0,5", "1,0,5,1,7"])
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        # the header is line 1; the blank line counts but holds no row
+        path = tmp_path / "bad.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n0,0,5,1\n\n" + row + "\n2,0,6,1\n")
+        with pytest.raises(ConfigurationError, match=f"line 4 \\('{row}'\\)"):
+            read_event_log(path)
+        with pytest.raises(ConfigurationError, match="line 4 "):
+            read_event_log(io.StringIO(path.read_text()))
+
+    @pytest.mark.parametrize("row, error", [("1,0,6,1", None),
+                                            ("1,0,6", "a row is not")])
+    def test_unseekable_log(self, row, error):
+        # a pipe cannot be re-read for the line number, but still parses
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w") as fh:
+            fh.write(EVENT_LOG_HEADER + "\n0,0,5,1\n" + row + "\n")
+        with os.fdopen(read_fd) as fh:
+            assert not fh.seekable()
+            if error is None:
+                assert read_event_log(fh).pulses == [2]
+            else:
+                with pytest.raises(ConfigurationError, match=error):
+                    read_event_log(fh)
+
+    def test_malformed_row_past_the_first_block_of_lines(self, tmp_path):
+        path = tmp_path / "late.csv"
+        rows = "".join(f"{i},0,5,1\n" for i in range(40_000))
+        path.write_text(EVENT_LOG_HEADER + "\n" + rows + "40000,0,5\n")
+        with pytest.raises(ConfigurationError, match="line 40002 "):
+            read_event_log(path)
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             self.make_config(settings=())
@@ -267,6 +301,85 @@ class TestRunExperiment:
         cfg = self.make_config(settings=(PhaseSetting(0.1, 0.2, pass_counts=(3, 2)),))
         with pytest.raises(Exception):
             run_experiment(cfg)
+
+
+def savetxt_log_chunk(fh, lo, setting_index, patterns, m):
+    """The np.savetxt event-log writer, kept as the byte-level reference."""
+    n = len(patterns)
+    table = np.empty((n, 4), dtype=np.int64)
+    table[:, 0] = np.arange(lo, lo + n)
+    table[:, 1] = setting_index
+    table[:, 2] = patterns
+    table[:, 3] = m
+    np.savetxt(fh, table, fmt="%d", delimiter=",")
+
+
+def assert_same_log(got, want):
+    # names the first differing line; a plain == on logs of 10^5 lines
+    # makes pytest's failure diff take minutes
+    if got != want:
+        pairs = enumerate(zip(got.splitlines(), want.splitlines()), start=1)
+        line = next((i for i, (a, b) in pairs if a != b), None)
+        pytest.fail(f"logs differ at line {line} "
+                    f"({len(got)} against {len(want)} characters)")
+
+
+class TestLogWriter:
+    """The vectorized event-log writer against np.savetxt, byte for byte."""
+
+    def streams(self, n, seed):
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, N_PATTERNS, n).astype(np.uint8)
+        m = rng.integers(0, SRC_240M.n_max + 1, n).astype(np.int16)
+        m[:2] = 0, SRC_240M.n_max
+        return patterns, m
+
+    @pytest.mark.parametrize("lo, n", [
+        (0, 25),  # 9 -> 10
+        (99_990, 20),  # 99_999 -> 100_000
+        (1_048_570, 12),  # 1_048_575 -> 1_048_576
+        (99_999 - 70_000, (1 << 16) + 5_000),  # past one slice, 5 -> 6 digits
+    ])
+    @pytest.mark.parametrize("setting_index", [0, 12])
+    def test_matches_savetxt(self, tmp_path, lo, n, setting_index):
+        patterns, m = self.streams(n, seed=lo + setting_index)
+        want, got = io.StringIO(), io.StringIO()
+        savetxt_log_chunk(want, lo, setting_index, patterns, m)
+        simulator._write_log_chunk(got, lo, setting_index, patterns, m)
+        assert_same_log(got.getvalue(), want.getvalue())
+        path = tmp_path / "chunk.csv"
+        with open(path, "w", newline="") as fh:
+            simulator._write_log_chunk(fh, lo, setting_index, patterns, m)
+        assert_same_log(path.read_bytes(), want.getvalue().encode("ascii"))
+
+    def test_threaded_small_chunks_match_savetxt_log(self, monkeypatch):
+        # chunks of 7 put the 9 -> 10 and 99 -> 100 index steps inside
+        # chunks, and 12 settings give two-digit setting indices
+        cfg = ExperimentConfig(
+            source=SRC_240M, eff=EFF_240M,
+            settings=tuple(PhaseSetting(0.25 * k, 0.0) for k in range(12)),
+            pulses_per_setting=150, seed=77, chunk_size=7)
+        serial, threaded, reference = io.StringIO(), io.StringIO(), io.StringIO()
+        run_experiment(cfg, event_log=serial)
+        run_experiment(cfg, workers=2, event_log=threaded)
+        monkeypatch.setattr(simulator, "_write_log_chunk", savetxt_log_chunk)
+        run_experiment(cfg, event_log=reference)
+        assert_same_log(serial.getvalue(), reference.getvalue())
+        assert_same_log(threaded.getvalue(), reference.getvalue())
+        assert serial.getvalue().count("\n") == 1 + 12 * 150
+
+    def test_chunk_peak_memory(self, tmp_path):
+        # formatting runs in fixed row slices: a full default chunk stays
+        # far below the (n, 4) int64 table np.savetxt needed (32 MiB)
+        patterns, m = self.streams(1 << 20, seed=3)
+        with open(tmp_path / "chunk.csv", "w", newline="") as fh:
+            tracemalloc.start()
+            try:
+                simulator._write_log_chunk(fh, 3 << 20, 7, patterns, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSampleTally:
