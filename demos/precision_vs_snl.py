@@ -8,20 +8,17 @@ block's worth of resources. Positive dB means the entangled strategy
 beat the shot-noise baseline without any event discarded.
 """
 
-import math
 import warnings
 
-import numpy as np
-
-from entsense import EfficiencyBudget, SourceParams, measure_phase_point
+from entsense import EfficiencyBudget, SourceParams
 from entsense.cli import analytic_calibration
 from entsense.errors import DegenerateEstimateWarning
+from entsense.randomphase import precision_scan
 
 SOURCE = SourceParams(mu=0.056, visibility=0.9804, n_max=4)
 EFF = EfficiencyBudget({"A1": 0.7432, "A2": 0.7667, "B1": 0.7477, "B2": 0.6974})
 K_BAR = 6200       # informative events per block
 S = 400            # blocks per setpoint; the spread has ~3.5% spread itself
-BRANCH = math.pi / 3.0
 
 
 def main():
@@ -32,12 +29,11 @@ def main():
           f"{'hl':>9} {'dB vs snl':>10}")
     # interior grid: the branch ends are fringe extrema where the
     # estimate degenerates and the toolkit flags the point instead
-    for j in range(7):
-        theta = BRANCH * (j + 1) / 8.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateEstimateWarning)
-            m = measure_phase_point(SOURCE, EFF, cal, 3.0 * theta,
-                                    K_BAR, S, seed=7, setting_index=j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateEstimateWarning)
+        thetas, measurements, _ = precision_scan(SOURCE, EFF, cal, 7, K_BAR, S,
+                                                 seed=7)
+    for theta, m in zip(thetas, measurements):
         r = m.report
         mark = " (flagged: near extremum)" if m.extremum else ""
         print(f"{theta:7.3f} {m.theta_hat:10.4f} {r.delta_hat:9.5f} "

@@ -15,8 +15,8 @@ Layout:
 - :mod:`entsense.events`      taxonomy, tallies, efficiency estimation
 - :mod:`entsense.estimation`  fringe fits, phase MLE, block statistics
 - :mod:`entsense.resources`   photon accounting, SNL/HL, dB metric
-- :mod:`entsense.randomphase` random unknown-phase experiment
-- :mod:`entsense.cli`         experiment runner with presets
+- :mod:`entsense.randomphase` precision and threshold scans, blind trials
+- :mod:`entsense.cli`         thin command-line shell over those runs
 """
 
 from .errors import (

@@ -1,6 +1,8 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner: a thin shell over library calls.
 
-Five subcommands cover the toolkit end to end: ``fringe`` scans the
+Each subcommand parses its arguments, resolves one config, calls the
+library run that owns the job, writes the files and prints one summary
+line.  Five subcommands cover the toolkit end to end: ``fringe`` scans the
 coincidence interference pattern and fits it, ``precision`` runs blocked
 phase estimation across the identifiable branch, ``threshold-scan``
 sweeps a uniform efficiency looking for the shot-noise crossing,
@@ -48,27 +50,16 @@ from .config import (
 from .errors import ConfigurationError, EntsenseError
 from .estimation import fit_fringe
 from .events import coincidence_fractions, write_tally_csv
-from .model import (
-    EfficiencyBudget,
-    PhaseSetting,
-    fisher_per_informative_event,
-    pattern_distribution,
-)
+from .model import PhaseSetting, pattern_distribution
 from .randomphase import (
     measure_logged_setting,
-    measure_phase_point,
+    precision_scan,
     run_random_phase_experiment,
+    threshold_scan,
     write_trials_csv,
 )
-from .resources import ResourceAudit, predicted_db_below_snl, threshold_efficiency
-from .simulator import (
-    ExperimentConfig,
-    LANE_TALLY,
-    read_event_log,
-    run_experiment,
-    sample_tally,
-    stream_generator,
-)
+from .resources import ResourceAudit, threshold_efficiency
+from .simulator import ExperimentConfig, read_event_log, run_experiment
 
 __all__ = ["analytic_calibration", "build_parser", "main"]
 
@@ -198,28 +189,10 @@ def cmd_precision(args):
     source = config.source
     out = _prepare_out(args, "precision", config, config_path)
     calibration = analytic_calibration(source, eff)
-
-    # interior grid: endpoints of the branch are fringe extrema where the
-    # estimate degenerates, so setpoints split (0, pi/3) evenly without
-    # touching either end
-    branch = math.pi / 3.0
-    thetas = [branch * (j + 1) / (scan.points + 1) for j in range(scan.points)]
-
-    measurements = []
-    for j, t in enumerate(thetas):
-        m = measure_phase_point(
-            source,
-            eff,
-            calibration,
-            3.0 * t,
-            blocks.k_bar,
-            blocks.s,
-            seed=config.seed,
-            setting_index=j,
-            method=blocks.method,
-            include_rest=blocks.include_rest,
-        )
-        measurements.append(m)
+    thetas, measurements, peak = precision_scan(
+        source, eff, calibration, scan.points, blocks.k_bar, blocks.s,
+        seed=config.seed, method=blocks.method, include_rest=blocks.include_rest,
+    )
 
     with open(out / "precision_scan.csv", "w") as fh:
         fh.write(PRECISION_CSV_HEADER + "\n")
@@ -231,8 +204,6 @@ def cmd_precision(args):
                 f"{int(m.extremum)}\n"
             )
 
-    peak = max(range(len(measurements)),
-               key=lambda i: measurements[i].report.db_below_snl)
     doc = {
         "k_bar": blocks.k_bar,
         "s": blocks.s,
@@ -261,35 +232,17 @@ def cmd_threshold_scan(args):
     etas = scan.eta_points()
     out = _prepare_out(args, "threshold-scan", config, config_path)
 
-    # mid-branch operating point; the Fisher information per informative
-    # event is evaluated at the same phase the pulses are drawn at
-    u = 0.5 * math.pi
-    rows = []
-    for i, eta in enumerate(etas):
-        eff = EfficiencyBudget.uniform(eta)
-        rng = stream_generator(config.seed, LANE_TALLY, setting_index=i)
-        tally = sample_tally(source, eff, u, scan.pulses_per_point, rng,
-                             setting_index=i)
-        audit = ResourceAudit.from_tallies(tally, source, eff)
-        fisher = fisher_per_informative_event(source, eff, u)
-        db = predicted_db_below_snl(tally.c_sum, fisher, audit.n)
-        rows.append((eta, tally.c_sum, audit.n, db))
+    rows, (slope, intercept, crossing) = threshold_scan(
+        source, etas, scan.pulses_per_point, seed=config.seed)
 
     with open(out / "threshold_scan.csv", "w") as fh:
         fh.write(THRESHOLD_CSV_HEADER + "\n")
         for eta, c_sum, n, db in rows:
             fh.write(f"{eta!r},{c_sum!r},{n!r},{db!r}\n")
 
-    xs = np.array([r[0] for r in rows])
-    ys = np.array([r[3] for r in rows])
-    if len(rows) >= 2 and np.ptp(ys) > 0:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        crossing = -intercept / slope if slope != 0 else None
-    else:
-        slope = intercept = crossing = None
     doc = {
         "points": len(rows),
-        "eta_range": [float(xs[0]), float(xs[-1])],
+        "eta_range": [float(rows[0][0]), float(rows[-1][0])],
         "pulses_per_point": scan.pulses_per_point,
         "slope_db_per_eta": slope,
         "intercept_db": intercept,
@@ -314,35 +267,11 @@ def cmd_random_phase(args):
     out = _prepare_out(args, "random-phase", config, config_path)
     calibration = analytic_calibration(source, eff)
     trial_set = run_random_phase_experiment(
-        source,
-        eff,
-        calibration,
-        blocks.num_phases,
-        blocks.k_bar,
-        blocks.s,
-        seed=config.seed,
-        method=blocks.method,
-        include_rest=blocks.include_rest,
+        source, eff, calibration, blocks.num_phases, blocks.k_bar, blocks.s,
+        seed=config.seed, method=blocks.method, include_rest=blocks.include_rest,
     )
     write_trials_csv(trial_set, out / "trials.csv")
-    trials_doc = []
-    for tr in trial_set.trials:
-        m = tr.measurement
-        trials_doc.append(
-            {
-                "index": tr.index,
-                "theta_true": tr.theta_true,
-                "theta_hat": m.theta_hat,
-                "residual": tr.residual,
-                "extremum": m.extremum,
-                "delta": m.stats.delta_hat,
-                "delta_err": m.stats.delta_err,
-                "n": m.report.n,
-                "snl": m.report.snl,
-                "hl": m.report.hl,
-                "db_below_snl": m.report.db_below_snl,
-            }
-        )
+    trials_doc = [tr.as_dict() for tr in trial_set.trials]
     doc = {
         "num_phases": len(trial_set.trials),
         "k_bar": blocks.k_bar,

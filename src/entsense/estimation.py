@@ -303,9 +303,9 @@ def mle_phase(tally, calibration, include_rest=False):
     if isinstance(tally, Tally):
         if tally.c_sum == 0:
             raise EmptyStatisticsError("tally has no informative events")
-        counts, categories = np.asarray(tally.counts)[list(INFORMATIVE_PATTERNS)], False
+        row = np.asarray(tally.counts)[list(INFORMATIVE_PATTERNS)]
     else:
-        counts, categories = np.asarray(tally, dtype=np.int64), True
+        counts = np.asarray(tally, dtype=np.int64)
         want = 5 if include_rest else 4
         if counts.shape != (want,):
             raise ConfigurationError(
@@ -313,19 +313,19 @@ def mle_phase(tally, calibration, include_rest=False):
             )
         if counts.sum() == 0 and include_rest:
             raise EmptyStatisticsError("no events in category counts")
-    estimates = estimate_blocks(
-        counts[None, :], calibration, include_rest=include_rest,
-        _counts_are_categories=categories,
-    )
-    return float(estimates[0])
+        # the rest count stands in one rest slot; estimate_blocks sums them
+        row = np.zeros(len(INFORMATIVE_PATTERNS), dtype=np.int64)
+        row[_COINC_SLOTS] = counts[:4]
+        row[_REST_SLOTS[0]] = counts[4:].sum()
+    return float(estimate_blocks(row[None, :], calibration,
+                                 include_rest=include_rest)[0])
 
 
-def estimate_blocks(block_counts, calibration, include_rest=False,
-                    _counts_are_categories=False):
+def estimate_blocks(block_counts, calibration, include_rest=False):
     """Vectorized per-block MLE: one theta_hat per row of block_counts.
 
     block_counts is (s, 9) over INFORMATIVE_PATTERNS order (as produced
-    by the blocked samplers), or pre-reduced category counts when flagged.
+    by the blocked samplers).
 
     L depends on u only through c = cos(u + phi0) and has at most one
     stationary point in c, a maximum (Cauchy-Schwarz; concavity with
@@ -342,19 +342,14 @@ def estimate_blocks(block_counts, calibration, include_rest=False,
     block_counts = np.asarray(block_counts, dtype=np.int64)
     if block_counts.ndim != 2:
         raise ConfigurationError("block_counts must be two-dimensional")
-    if _counts_are_categories:
-        cats = block_counts
-    else:
-        if block_counts.shape[1] != len(INFORMATIVE_PATTERNS):
-            raise ConfigurationError(
-                "block_counts must have one column per informative type"
-            )
-        coinc = block_counts[:, _COINC_SLOTS]
-        if include_rest:
-            rest = block_counts[:, _REST_SLOTS].sum(axis=1, keepdims=True)
-            cats = np.concatenate([coinc, rest], axis=1)
-        else:
-            cats = coinc
+    if block_counts.shape[1] != len(INFORMATIVE_PATTERNS):
+        raise ConfigurationError(
+            "block_counts must have one column per informative type"
+        )
+    cats = block_counts[:, _COINC_SLOTS]
+    if include_rest:
+        rest = block_counts[:, _REST_SLOTS].sum(axis=1, keepdims=True)
+        cats = np.concatenate([cats, rest], axis=1)
 
     phi0 = calibration.phase_offset
     turn = -phi0 % math.pi  # where cos(u + phi0) turns; 0 when phi0 = 0

@@ -1,4 +1,11 @@
-"""Unknown-phase trials driven by a seeded random bit source.
+"""The library's phase runs: precision and threshold scans, and blind trials.
+
+``precision_scan`` measures blocked precision on the interior setpoints
+of the identifiable branch, ``threshold_scan`` sweeps a uniform channel
+efficiency for the shot-noise crossing, and ``run_random_phase_experiment``
+runs unknown-phase trials driven by a seeded random bit source.  The
+command-line subcommands of the same names only write and print what
+these return.
 
 The hardware in the loop would be a quantum random number generator
 rotating both sensors to phases nobody chose; here a counter-based
@@ -22,15 +29,22 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, EmptyStatisticsError
 from .estimation import block_stats, estimate_blocks, fold_to_branch
-from .model import PhaseSetting, global_phase
-from .resources import PrecisionReport, ResourceAudit
+from .model import (
+    EfficiencyBudget,
+    PhaseSetting,
+    fisher_per_informative_event,
+    global_phase,
+)
+from .resources import PrecisionReport, ResourceAudit, predicted_db_below_snl
 from .simulator import (
     LANE_BITS,
     LANE_BLOCKS,
     LANE_PULSES,
+    LANE_TALLY,
     cut_blocks,
     sample_blocked_run,
     sample_blocked_run_pulse_level,
+    sample_tally,
     stream_generator,
 )
 
@@ -44,6 +58,8 @@ __all__ = [
     "PhaseMeasurement",
     "measure_phase_point",
     "measure_logged_setting",
+    "precision_scan",
+    "threshold_scan",
     "PhaseTrial",
     "RandomPhaseTrialSet",
     "run_random_phase_experiment",
@@ -202,6 +218,59 @@ def measure_logged_setting(patterns, tally, source, eff, calibration, k_bar,
     return report, s
 
 
+def precision_scan(source, eff, calibration, points, k_bar, s, *, seed,
+                   method="blocked", include_rest=False):
+    """Blocked precision at points interior setpoints of the branch.
+
+    The branch ends are fringe extrema where the estimate degenerates, so
+    the setpoints split (0, pi/3) evenly without touching either end;
+    setpoint j draws from setting index j.  Returns (thetas, measurements,
+    peak), peak being the index of the largest dB below the shot-noise
+    limit.
+    """
+    branch = math.pi / 3.0
+    thetas = [branch * (j + 1) / (points + 1) for j in range(points)]
+    measurements = [
+        measure_phase_point(source, eff, calibration, 3.0 * t, k_bar, s,
+                            seed=seed, setting_index=j, method=method,
+                            include_rest=include_rest)
+        for j, t in enumerate(thetas)
+    ]
+    peak = max(range(len(measurements)),
+               key=lambda i: measurements[i].report.db_below_snl)
+    return thetas, measurements, peak
+
+
+def threshold_scan(source, etas, pulses, *, seed):
+    """Model-predicted dB below the shot-noise limit across uniform
+    efficiencies, and the line fitted through it.
+
+    Each efficiency eta_i draws a tally of pulses at the mid-branch
+    operating point u = pi/2 from setting index i; its dB figure pairs the
+    tally's informative count and audited n with the Fisher information
+    per informative event at the same u.  Returns (rows, (slope,
+    intercept, crossing)), rows being (eta, c_sum, n, db) tuples and
+    crossing the eta where the fitted line reaches 0 dB.  The fit is all
+    None with fewer than 2 rows or a flat dB, and crossing is None for a
+    zero slope.
+    """
+    u = 0.5 * math.pi
+    rows = []
+    for i, eta in enumerate(etas):
+        eff = EfficiencyBudget.uniform(float(eta))
+        rng = stream_generator(seed, LANE_TALLY, setting_index=i)
+        tally = sample_tally(source, eff, u, pulses, rng, setting_index=i)
+        audit = ResourceAudit.from_tallies(tally, source, eff)
+        fisher = fisher_per_informative_event(source, eff, u)
+        rows.append((eta, tally.c_sum, audit.n,
+                     predicted_db_below_snl(tally.c_sum, fisher, audit.n)))
+    ys = np.array([r[3] for r in rows])
+    if len(rows) < 2 or not np.ptp(ys) > 0:
+        return rows, (None, None, None)
+    slope, intercept = np.polyfit(np.array([r[0] for r in rows]), ys, 1)
+    return rows, (slope, intercept, -intercept / slope if slope != 0 else None)
+
+
 def _block_report(block_counts, calibration, k_bar, n, include_rest, params):
     """(theta_hat, stats, report) of the blocks against a per-block
     resource share n; report is None when the spread is zero."""
@@ -227,6 +296,23 @@ class PhaseTrial:
     @property
     def residual(self):
         return self.measurement.theta_hat - self.theta_true
+
+    def as_dict(self):
+        """The trial's entry in random_phase.json."""
+        m = self.measurement
+        return {
+            "index": self.index,
+            "theta_true": self.theta_true,
+            "theta_hat": m.theta_hat,
+            "residual": self.residual,
+            "extremum": m.extremum,
+            "delta": m.stats.delta_hat,
+            "delta_err": m.stats.delta_err,
+            "n": m.report.n,
+            "snl": m.report.snl,
+            "hl": m.report.hl,
+            "db_below_snl": m.report.db_below_snl,
+        }
 
 
 @dataclass(frozen=True)

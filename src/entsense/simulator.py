@@ -84,9 +84,10 @@ _LOG_SLICE = 1 << 16  # rows formatted at once; bounds the writer's temporaries
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
 
 # informative slot of each pattern, in INFORMATIVE_PATTERNS order; -1 for
-# the non-informative ones
+# the non-informative ones, listed after it in pattern order
 _SLOT_OF_PATTERN = np.full(N_PATTERNS, -1, dtype=np.int64)
 _SLOT_OF_PATTERN[list(INFORMATIVE_PATTERNS)] = np.arange(len(INFORMATIVE_PATTERNS))
+_NON_INFORMATIVE_PATTERNS = np.flatnonzero(_SLOT_OF_PATTERN < 0)
 
 
 def stream_generator(seed, lane, setting_index=0, chunk_index=0):
@@ -351,7 +352,10 @@ def read_event_log(path_or_file):
     are ordered by setting index, with each setting's pattern column in
     log order as its patterns, for callers that cut blocks by arrival.
     A row that is not four integers raises ConfigurationError naming its
-    line, the header being line 1.
+    line, the header being line 1.  So does a setting whose pulse_index
+    column, in log order, is not 0, 1, ..., P-1: a log with pulses left
+    out or repeated would audit a post-selected record as complete.
+    Settings may interleave.
     """
     def load(fh):
         first = fh.readline().strip()
@@ -386,12 +390,20 @@ def read_event_log(path_or_file):
     pulses = []
     streams = []
     for s_idx in np.unique(rows[:, 1]):
-        sel = rows[:, 1] == s_idx
+        sel = np.flatnonzero(rows[:, 1] == s_idx)  # gathers by row number beat a mask
+        index = rows[sel, 0]
+        gap = np.flatnonzero(index != np.arange(len(index)))
+        if gap.size:
+            raise ConfigurationError(
+                f"event log: setting {s_idx} has pulse_index {index[gap[0]]} "
+                f"where {gap[0]} is expected; each setting's pulses must run "
+                f"0, 1, 2, ... in log order, none left out or repeated"
+            )
         streams.append(patterns[sel])
         counts = np.bincount(streams[-1], minlength=N_PATTERNS)
         tallies.append(Tally(counts, setting_index=int(s_idx)))
         truth_totals.append(int(rows[sel, 3].sum()))
-        pulses.append(int(sel.sum()))
+        pulses.append(len(index))
     return ExperimentResult(tallies, truth_totals, pulses, streams)
 
 
@@ -482,18 +494,6 @@ def cut_blocks(patterns, k_bar, s):
     return np.bincount(cells, minlength=s * n_slots).reshape(s, n_slots)
 
 
-def _blocked_from_pieces(block_counts, rest_counts, pulses, setting_index):
-    counts = np.zeros(N_PATTERNS, dtype=np.int64)
-    counts[list(INFORMATIVE_PATTERNS)] = block_counts.sum(axis=0)
-    rest_patterns = [p for p in range(N_PATTERNS) if p not in INFORMATIVE_PATTERNS]
-    counts[rest_patterns] += rest_counts
-    return BlockedRunSample(
-        block_counts=block_counts,
-        tally=Tally(counts, setting_index=setting_index),
-        pulses=pulses,
-    )
-
-
 def sample_blocked_run(source, eff, u, k_bar, s, rng, routing="sensing",
                        setting_index=0):
     """Draw a blocked acquisition by its exact factorization.
@@ -517,15 +517,18 @@ def sample_blocked_run(source, eff, u, k_bar, s, rng, routing="sensing",
     block_counts = rng.multinomial(k_bar, q, size=s).astype(np.int64)
 
     failures = int(rng.negative_binomial(k_bar * s, p_inf))
-    rest_patterns = [p for p in range(N_PATTERNS) if p not in INFORMATIVE_PATTERNS]
-    p_rest = dist.probs[rest_patterns]
+    p_rest = dist.probs[_NON_INFORMATIVE_PATTERNS]
     rest_total = p_rest.sum()
+    counts = np.zeros(N_PATTERNS, dtype=np.int64)
+    counts[inf_idx] = block_counts.sum(axis=0)
     if failures and rest_total > 0.0:
-        rest_counts = rng.multinomial(failures, p_rest / rest_total).astype(np.int64)
-    else:
-        rest_counts = np.zeros(len(rest_patterns), dtype=np.int64)
-    pulses = k_bar * s + failures
-    return _blocked_from_pieces(block_counts, rest_counts, pulses, setting_index)
+        counts[_NON_INFORMATIVE_PATTERNS] = rng.multinomial(failures,
+                                                            p_rest / rest_total)
+    return BlockedRunSample(
+        block_counts=block_counts,
+        tally=Tally(counts, setting_index=setting_index),
+        pulses=k_bar * s + failures,
+    )
 
 
 def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,

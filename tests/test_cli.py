@@ -16,6 +16,7 @@ from entsense import __version__
 from entsense.cli import analytic_calibration, main
 from entsense.config import PRESET_NAMES, load_preset, parse_config
 from entsense.errors import ConfigurationError
+from entsense.events import INFORMATIVE_PATTERNS
 from entsense.model import (
     EfficiencyBudget,
     SourceParams,
@@ -506,6 +507,20 @@ class TestAuditCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 3" in err
+
+    def test_post_selected_log_fails_cleanly(self, tmp_path, capsys):
+        # keeping only the informative rows is the post-selection the
+        # audit exists to rule out
+        cfg, log = make_log(tmp_path)
+        header, *rows = log.read_text().splitlines()
+        kept = [r for r in rows if int(r.split(",")[2]) in INFORMATIVE_PATTERNS]
+        assert 0 < len(kept) < len(rows)
+        log.write_text("\n".join([header, *kept]) + "\n")
+        code = main(["audit", "--config", cfg, "--log", str(log),
+                     "--out", str(tmp_path / "audit")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "setting 0 has pulse_index" in err
 
     def test_audit_parses_log_once(self, tmp_path, monkeypatch):
         import entsense.cli

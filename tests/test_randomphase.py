@@ -6,11 +6,14 @@ and statistical agreement with the per-block resource bound.
 """
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from entsense import randomphase
+from entsense.cli import analytic_calibration, main
 from entsense.errors import ConfigurationError, DomainError
 from entsense.estimation import FringeFit, fit_fringe, fold_to_branch
 from entsense.model import (
@@ -27,8 +30,10 @@ from entsense.randomphase import (
     draw_phase_settings,
     is_extremum,
     measure_phase_point,
+    precision_scan,
     random_bit_blocks,
     run_random_phase_experiment,
+    threshold_scan,
     write_trials_csv,
 )
 
@@ -249,6 +254,72 @@ class TestRunRandomPhaseExperiment:
             m = trial.measurement
             assert 0.0042 <= m.stats.delta_hat <= 0.0065
             assert m.report.db_below_snl < 0
+
+
+class TestPrecisionScan:
+    def test_matches_per_setpoint_measurements(self):
+        source = SourceParams(mu=1e-3, visibility=1.0)
+        eff = EfficiencyBudget.uniform(0.9)
+        thetas, measurements, peak = precision_scan(
+            source, eff, FringeFit.ideal(), 3, 300, 12, seed=77)
+        assert thetas == [math.pi / 3 * (j + 1) / 4 for j in range(3)]
+        want = [measure_phase_point(source, eff, FringeFit.ideal(), 3.0 * t,
+                                    300, 12, seed=77, setting_index=j)
+                for j, t in enumerate(thetas)]
+        for got, ref in zip(measurements, want):
+            assert got.theta_hat == ref.theta_hat
+            assert got.stats.delta_hat == ref.stats.delta_hat
+            assert got.report == ref.report
+        dbs = [m.report.db_below_snl for m in want]
+        assert peak == dbs.index(max(dbs))
+
+
+class TestThresholdScan:
+    SOURCE = SourceParams(mu=1e-3, visibility=1.0, n_max=3)
+
+    def test_single_efficiency_has_no_fit(self):
+        rows, fit = threshold_scan(self.SOURCE, [0.6], 20_000, seed=5)
+        assert len(rows) == 1 and rows[0][0] == 0.6
+        assert fit == (None, None, None)
+
+    def test_flat_db_has_no_fit(self, monkeypatch):
+        monkeypatch.setattr(randomphase, "predicted_db_below_snl",
+                            lambda k, fisher, n: 0.25)
+        rows, fit = threshold_scan(self.SOURCE, [0.55, 0.6, 0.65], 20_000,
+                                   seed=5)
+        assert [r[3] for r in rows] == [0.25] * 3
+        assert fit == (None, None, None)
+
+    def test_crossing_is_the_fitted_line_zero(self):
+        etas = [0.5, 0.55, 0.6, 0.65]
+        rows, (slope, intercept, crossing) = threshold_scan(
+            self.SOURCE, etas, 50_000, seed=5)
+        assert [r[0] for r in rows] == etas
+        want = np.polyfit([r[0] for r in rows], [r[3] for r in rows], 1)
+        assert (slope, intercept) == tuple(want)
+        assert crossing == -intercept / slope
+        assert 0.5 < crossing < 0.65
+
+
+class TestPhaseTrialDict:
+    def test_matches_cli_output(self, tmp_path):
+        doc = {"source": {"mu": 0.001, "visibility": 1.0, "n_max": 3},
+               "efficiency": {"uniform": 0.95},
+               "blocks": {"k_bar": 400, "s": 20, "num_phases": 3},
+               "seed": 9}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["random-phase", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        trials = json.loads((out / "random_phase.json").read_text())["trials"]
+        source = SourceParams(mu=0.001, visibility=1.0, n_max=3)
+        eff = EfficiencyBudget.uniform(0.95)
+        result = run_random_phase_experiment(
+            source, eff, analytic_calibration(source, eff), 3, 400, 20, seed=9)
+        entries = [t.as_dict() for t in result.trials]
+        assert entries == trials
+        assert [list(e) for e in entries] == [list(t) for t in trials]
 
 
 class TestTrialsCsv:

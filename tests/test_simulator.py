@@ -239,6 +239,28 @@ class TestRunExperiment:
         back = read_event_log(path)
         assert [list(p) for p in back.patterns] == [[5, 15], [9, 0, 6]]
 
+    @pytest.mark.parametrize("rows, found, expected", [
+        ("0,0,5,1\n1,0,0,0\n3,0,6,1\n", 3, 2),   # a pulse left out
+        ("0,0,5,1\n1,0,0,0\n1,0,6,1\n", 1, 2),   # a pulse repeated
+        ("1,0,5,1\n2,0,0,0\n", 1, 0),             # the first pulse missing
+    ])
+    def test_pulse_index_out_of_sequence(self, tmp_path, rows, found, expected):
+        path = tmp_path / "events.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n0,1,9,1\n" + rows)
+        with pytest.raises(ConfigurationError,
+                           match=f"setting 0 has pulse_index {found} "
+                                 f"where {expected} is expected"):
+            read_event_log(path)
+
+    def test_doubled_log_rejected(self, tmp_path):
+        path = tmp_path / "events.csv"
+        run_experiment(self.make_config(pulses_per_setting=2_000), event_log=path)
+        rows = path.read_text().split("\n", 1)[1]
+        path.write_text(EVENT_LOG_HEADER + "\n" + rows + rows)
+        with pytest.raises(ConfigurationError,
+                           match="setting 0 has pulse_index 0 where 2000 is"):
+            read_event_log(path)
+
     def test_event_log_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("pulse,setting,pattern,truth\n0,0,5,1\n")
