@@ -42,6 +42,7 @@ from . import __version__
 from .config import (
     PRESET_NAMES,
     RunManifest,
+    dump_csv,
     dump_json,
     load_config_file,
     load_preset,
@@ -166,12 +167,8 @@ def cmd_fringe(args):
         counts = [c_sum for _, _, c_sum in csv_rows]
     fit = fit_fringe([(t, fracs) for t, fracs, _ in csv_rows], counts=counts)
 
-    with open(out / "fringe_scan.csv", "w") as fh:
-        fh.write(FRINGE_CSV_HEADER + "\n")
-        for t, fracs, c_sum in csv_rows:
-            fh.write(
-                f"{t!r},{fracs[0]!r},{fracs[1]!r},{fracs[2]!r},{fracs[3]!r},{c_sum!r}\n"
-            )
+    dump_csv(FRINGE_CSV_HEADER, [(t, *fracs, c_sum) for t, fracs, c_sum in csv_rows],
+             out / "fringe_scan.csv")
     fit.to_json(out / "fringe_fit.json")
     err = fit.visibility_stderr()
     print(
@@ -194,15 +191,11 @@ def cmd_precision(args):
         seed=config.seed, method=blocks.method, include_rest=blocks.include_rest,
     )
 
-    with open(out / "precision_scan.csv", "w") as fh:
-        fh.write(PRECISION_CSV_HEADER + "\n")
-        for t, m in zip(thetas, measurements):
-            r = m.report
-            fh.write(
-                f"{t!r},{r.theta_hat!r},{r.delta_hat!r},{r.delta_err!r},"
-                f"{r.n!r},{r.snl!r},{r.hl!r},{r.db_below_snl!r},"
-                f"{int(m.extremum)}\n"
-            )
+    dump_csv(PRECISION_CSV_HEADER, [
+        (t, m.report.theta_hat, m.report.delta_hat, m.report.delta_err, m.report.n,
+         m.report.snl, m.report.hl, m.report.db_below_snl, int(m.extremum))
+        for t, m in zip(thetas, measurements)
+    ], out / "precision_scan.csv")
 
     doc = {
         "k_bar": blocks.k_bar,
@@ -235,10 +228,7 @@ def cmd_threshold_scan(args):
     rows, (slope, intercept, crossing) = threshold_scan(
         source, etas, scan.pulses_per_point, seed=config.seed)
 
-    with open(out / "threshold_scan.csv", "w") as fh:
-        fh.write(THRESHOLD_CSV_HEADER + "\n")
-        for eta, c_sum, n, db in rows:
-            fh.write(f"{eta!r},{c_sum!r},{n!r},{db!r}\n")
+    dump_csv(THRESHOLD_CSV_HEADER, rows, out / "threshold_scan.csv")
 
     doc = {
         "points": len(rows),

@@ -299,6 +299,19 @@ def dump_json(doc, path=None):
     return text
 
 
+def dump_csv(header, rows, path_or_file):
+    """A header line, then one line per row of comma-joined repr fields,
+    so floats read back bit for bit: the format of every CSV table the
+    package writes but tallies.csv.  path_or_file is a path or a
+    writable text file."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w") as fh:
+            return dump_csv(header, rows, fh)
+    path_or_file.write(header + "\n")
+    for row in rows:
+        path_or_file.write(",".join(map(repr, row)) + "\n")
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to replay a run and get the same bytes back."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import dump_csv
 from .errors import ConfigurationError, DomainError, EmptyStatisticsError
 from .estimation import block_stats, estimate_blocks, fold_to_branch
 from .model import (
@@ -192,7 +193,8 @@ def measure_logged_setting(patterns, tally, source, eff, calibration, k_bar,
                            *, include_rest=False):
     """Re-cut one logged setting into blocks and reduce them.
 
-    patterns is the setting's click-pattern stream in log order and tally
+    patterns is the setting's informative click patterns in log order,
+    as read_event_log returns them (any others are skipped), and tally
     its full tally.  The log has a fixed pulse count, so the informative
     total K rarely divides k_bar; blocks cover the first (K // k_bar) *
     k_bar events and the per-block resource share prorates the setting's
@@ -368,18 +370,8 @@ def run_random_phase_experiment(source, eff, calibration, num_phases, k_bar,
 def write_trials_csv(trial_set, path_or_file):
     """Results table, one row per random phase: the estimate, its
     spread over blocks, and the error bar of the spread itself."""
-
-    def emit(fh):
-        fh.write(TRIALS_CSV_HEADER + "\n")
-        for trial in trial_set.trials:
-            m = trial.measurement
-            fh.write(
-                f"{trial.index},{m.theta_hat!r},"
-                f"{m.stats.delta_hat!r},{m.stats.delta_err!r}\n"
-            )
-
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            emit(fh)
+    dump_csv(TRIALS_CSV_HEADER, [
+        (trial.index, trial.measurement.theta_hat,
+         trial.measurement.stats.delta_hat, trial.measurement.stats.delta_err)
+        for trial in trial_set.trials
+    ], path_or_file)

@@ -80,6 +80,7 @@ LANE_BITS = 3  # random-bit source (phase QRNG stand-in)
 
 _DEFAULT_CHUNK = 1 << 20
 _LOG_SLICE = 1 << 16  # rows formatted at once; bounds the writer's temporaries
+_LOG_LINES = 1 << 14  # lines parsed at once; bounds the reader's line strings
 
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
 
@@ -166,8 +167,8 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     """Per-setting tallies plus the simulation-truth pair totals; patterns
-    holds each setting's click patterns in log order when read back from
-    an event log."""
+    holds each setting's informative click patterns in log order when
+    read back from an event log."""
 
     tallies: list
     truth_pairs: list
@@ -347,93 +348,89 @@ def _csv_rows(columns):
 def read_event_log(path_or_file):
     """Parse an event-log CSV back into per-setting tallies and truth totals.
 
-    Accepts logs written by run_experiment or any file with the same
-    header and integer rows.  Returns an ExperimentResult whose tallies
-    are ordered by setting index, with each setting's pattern column in
-    log order as its patterns, for callers that cut blocks by arrival.
-    A row that is not four integers raises ConfigurationError naming its
-    line, the header being line 1.  So does a setting whose pulse_index
-    column, in log order, is not 0, 1, ..., P-1: a log with pulses left
-    out or repeated would audit a post-selected record as complete.
-    Settings may interleave.
+    Accepts a path or a readable text file, a pipe included, holding a
+    log written by run_experiment or any file with the same header and
+    integer rows.  The log is read once, _LOG_LINES lines at a time, into
+    running per-setting totals, so memory is bounded by one block of
+    lines plus the informative events.  Returns an ExperimentResult whose
+    tallies are ordered by setting index, with each setting's informative
+    click patterns (uint8, in log order) as its patterns, for callers
+    that cut blocks by arrival.  ConfigurationError names the line of a
+    row that is not four integers, the header being line 1, and the
+    setting and pulse_index of a pattern outside 0..15 or a negative
+    truth_pairs.  So does a setting whose pulse_index column, in log
+    order, is not 0, 1, ..., P-1: a log with pulses left out or repeated
+    would audit a post-selected record as complete.  Settings may
+    interleave.
     """
-    def load(fh):
-        first = fh.readline().strip()
-        if first != EVENT_LOG_HEADER:
-            raise ConfigurationError(
-                f"expected event-log header {EVENT_LOG_HEADER!r}, got {first!r}"
-            )
-        start = fh.tell() if fh.seekable() else None
-        rows = _parse_log_rows(fh)
-        if rows is None:
-            bad = None if start is None else _first_bad_row(fh, start)
-            where = "a row" if bad is None else f"line {bad[0]} ({bad[1]!r})"
-            raise ConfigurationError(
-                f"event log: {where} is not 4 comma-separated integers"
-            )
-        return rows
-
-    if hasattr(path_or_file, "read"):
-        rows = load(path_or_file)
-    else:
+    if not hasattr(path_or_file, "read"):
         with open(Path(path_or_file), newline="") as fh:
-            rows = load(fh)
-    if rows.size == 0:
-        raise EmptyStatisticsError("event log has no rows")
-    patterns = rows[:, 2]
-    if patterns.min() < 0 or patterns.max() >= N_PATTERNS:
-        raise ConfigurationError("event log contains out-of-range patterns")
-    if rows[:, 3].min() < 0:
-        raise ConfigurationError("event log contains negative pair counts")
-    tallies = []
-    truth_totals = []
-    pulses = []
-    streams = []
-    for s_idx in np.unique(rows[:, 1]):
-        sel = np.flatnonzero(rows[:, 1] == s_idx)  # gathers by row number beat a mask
-        index = rows[sel, 0]
-        gap = np.flatnonzero(index != np.arange(len(index)))
-        if gap.size:
+            return read_event_log(fh)
+    first = path_or_file.readline().strip()
+    if first != EVENT_LOG_HEADER:
+        raise ConfigurationError(
+            f"expected event-log header {EVENT_LOG_HEADER!r}, got {first!r}"
+        )
+    counts, truth, informative = {}, {}, {}
+    pulses = {}  # per setting: the pulses read, so the pulse_index expected next
+    line = 1  # lines read
+    while lines := list(itertools.islice(path_or_file, _LOG_LINES)):
+        rows = _parse_log_rows(lines)
+        if rows is None:
+            number, bad = next((n, text.rstrip("\r\n"))
+                               for n, text in enumerate(lines, start=line + 1)
+                               if _parse_log_rows([text]) is None)
             raise ConfigurationError(
-                f"event log: setting {s_idx} has pulse_index {index[gap[0]]} "
-                f"where {gap[0]} is expected; each setting's pulses must run "
-                f"0, 1, 2, ... in log order, none left out or repeated"
+                f"event log: line {number} ({bad!r}) is not 4 comma-separated integers"
             )
-        streams.append(patterns[sel])
-        counts = np.bincount(streams[-1], minlength=N_PATTERNS)
-        tallies.append(Tally(counts, setting_index=int(s_idx)))
-        truth_totals.append(int(rows[sel, 3].sum()))
-        pulses.append(len(index))
-    return ExperimentResult(tallies, truth_totals, pulses, streams)
+        line += len(lines)
+        patterns = rows[:, 2]
+        out_of_range = (patterns < 0) | (patterns >= N_PATTERNS) | (rows[:, 3] < 0)
+        if out_of_range.any():
+            index, s_idx, pattern, pairs = rows[np.argmax(out_of_range)].tolist()
+            what = (f"truth_pairs {pairs}, below 0" if 0 <= pattern < N_PATTERNS
+                    else f"pattern {pattern}, outside 0..{N_PATTERNS - 1}")
+            raise ConfigurationError(
+                f"event log: setting {s_idx}, pulse_index {index} has {what}")
+        for s_idx in np.unique(rows[:, 1]).tolist():
+            sel = np.flatnonzero(rows[:, 1] == s_idx)  # gathers by row number beat a mask
+            index = rows[sel, 0]
+            done = pulses.get(s_idx, 0)
+            gap = np.flatnonzero(index != np.arange(done, done + len(index)))
+            if gap.size:
+                raise ConfigurationError(
+                    f"event log: setting {s_idx} has pulse_index {index[gap[0]]} "
+                    f"where {done + gap[0]} is expected; each setting's pulses "
+                    f"must run 0, 1, 2, ... in log order, none left out or repeated"
+                )
+            pulses[s_idx] = done + len(index)
+            truth[s_idx] = truth.get(s_idx, 0) + int(rows[sel, 3].sum())
+            stream = patterns[sel]
+            counts[s_idx] = (counts.get(s_idx, 0)
+                             + np.bincount(stream, minlength=N_PATTERNS))
+            kept = stream[_SLOT_OF_PATTERN[stream] >= 0].astype(np.uint8)
+            informative.setdefault(s_idx, []).append(kept)
+    if not pulses:
+        raise EmptyStatisticsError("event log has no rows")
+    order = sorted(pulses)
+    return ExperimentResult([Tally(counts[s], setting_index=s) for s in order],
+                            [truth[s] for s in order], [pulses[s] for s in order],
+                            [np.concatenate(informative[s]) for s in order])
 
 
 def _parse_log_rows(lines):
-    """Event-log rows as an int64 array of 4 columns (size 0 when there
-    are none), or None when a line is not 4 comma-separated integers."""
+    """Event-log rows as an int64 array of 4 columns (0 rows when the
+    lines are blank), or None when a line is not 4 comma-separated
+    integers."""
     with warnings.catch_warnings():
-        # empty logs are reported as EmptyStatisticsError by the caller
+        # blank lines hold no rows; an empty log is reported as
+        # EmptyStatisticsError by the caller
         warnings.simplefilter("ignore", UserWarning)
         try:
             rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
         except ValueError:
             return None
-    return rows if rows.size == 0 or rows.shape[1] == 4 else None
-
-
-def _first_bad_row(fh, start):
-    """(line number, text) of the first malformed row from offset start on,
-    the rows starting on line 2.  Parses a block of lines at a time and a
-    failing block line by line, so a malformed row anywhere costs about
-    one more parse."""
-    fh.seek(start)
-    first = 2
-    while lines := list(itertools.islice(fh, 1 << 14)):
-        if _parse_log_rows(lines) is None:
-            for number, line in enumerate(lines, start=first):
-                if _parse_log_rows([line]) is None:
-                    return number, line.rstrip("\r\n")
-        first += len(lines)
-    return None
+    return rows.reshape(-1, 4) if rows.size == 0 or rows.shape[1] == 4 else None
 
 
 def sample_tally(source, eff, u, pulses, rng, routing="sensing", setting_index=0):

@@ -237,7 +237,7 @@ class TestRunExperiment:
         path.write_text(EVENT_LOG_HEADER + "\n0,1,9,1\n0,0,5,1\n1,1,0,0\n"
                         "1,0,15,2\n2,1,6,1\n")
         back = read_event_log(path)
-        assert [list(p) for p in back.patterns] == [[5, 15], [9, 0, 6]]
+        assert [list(p) for p in back.patterns] == [[5, 15], [9, 6]]
 
     @pytest.mark.parametrize("rows, found, expected", [
         ("0,0,5,1\n1,0,0,0\n3,0,6,1\n", 3, 2),   # a pulse left out
@@ -286,9 +286,9 @@ class TestRunExperiment:
             read_event_log(io.StringIO(path.read_text()))
 
     @pytest.mark.parametrize("row, error", [("1,0,6,1", None),
-                                            ("1,0,6", "a row is not")])
+                                            ("1,0,6", "line 3 \\('1,0,6'\\)")])
     def test_unseekable_log(self, row, error):
-        # a pipe cannot be re-read for the line number, but still parses
+        # a pipe is read once, and a bad row still names its line
         read_fd, write_fd = os.pipe()
         with os.fdopen(write_fd, "w") as fh:
             fh.write(EVENT_LOG_HEADER + "\n0,0,5,1\n" + row + "\n")
@@ -305,6 +305,77 @@ class TestRunExperiment:
         rows = "".join(f"{i},0,5,1\n" for i in range(40_000))
         path.write_text(EVENT_LOG_HEADER + "\n" + rows + "40000,0,5\n")
         with pytest.raises(ConfigurationError, match="line 40002 "):
+            read_event_log(path)
+
+    @pytest.mark.parametrize("row, found", [
+        ("1,0,16,1", "setting 0, pulse_index 1 has pattern 16, outside 0..15"),
+        ("1,0,-1,1", "setting 0, pulse_index 1 has pattern -1, outside 0..15"),
+        ("1,1,5,-2", "setting 1, pulse_index 1 has truth_pairs -2, below 0"),
+    ])
+    def test_out_of_range_row_names_its_pulse(self, tmp_path, row, found):
+        path = tmp_path / "oor.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n0,0,5,1\n0,1,9,1\n" + row
+                        + "\n2,0,16,-1\n")
+        with pytest.raises(ConfigurationError, match=found):
+            read_event_log(path)
+
+    def test_reader_memory_is_bounded(self, tmp_path):
+        path = tmp_path / "events.csv"
+        result = run_experiment(self.make_config(pulses_per_setting=200_000),
+                                event_log=path)
+        tracemalloc.start()
+        try:
+            back = read_event_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tallies == result.tallies
+        assert peak < 8 * 2**20
+
+    def test_pulse_index_gap_past_the_first_block(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        rows = [f"{i},0,5,1\n" for i in range(20_000)]
+        del rows[18_000]  # line 18,002 now holds pulse_index 18,001
+        path.write_text(EVENT_LOG_HEADER + "\n" + "".join(rows))
+        with pytest.raises(ConfigurationError,
+                           match="setting 0 has pulse_index 18001 where 18000 is"):
+            read_event_log(path)
+
+    def test_interleaved_settings_across_a_block_edge(self, tmp_path):
+        # 2 x 9,000 alternating rows put both settings on both sides of
+        # the edge after line 16,385
+        rng = np.random.default_rng(3)
+        patterns = rng.integers(0, N_PATTERNS, (9_000, 2))
+        pairs = rng.integers(0, 5, (9_000, 2))
+        path = tmp_path / "interleaved.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n" + "".join(
+            f"{i},{s},{patterns[i, s]},{pairs[i, s]}\n"
+            for i in range(9_000) for s in (0, 1)))
+        back = read_event_log(path)
+        informative = np.isin(patterns, INFORMATIVE_PATTERNS)
+        assert back.pulses == [9_000, 9_000]
+        assert back.truth_pairs == pairs.sum(axis=0).tolist()
+        for s in (0, 1):
+            want = np.bincount(patterns[:, s], minlength=N_PATTERNS)
+            assert back.tallies[s] == Tally(want, setting_index=s)
+            assert back.patterns[s].dtype == np.uint8
+            assert back.patterns[s].tolist() == patterns[informative[:, s], s].tolist()
+
+    @pytest.mark.parametrize("blank", [3, simulator._LOG_LINES + 2])
+    def test_blank_lines_at_a_block_edge(self, tmp_path, blank):
+        # rows fill lines 2 .. 16,384, the blank lines start on line
+        # 16,385, the first block's last, and the rows go on after them
+        before = simulator._LOG_LINES - 1
+        rows = [f"{i},0,5,1\n" for i in range(before + 10)]
+        text = (EVENT_LOG_HEADER + "\n" + "".join(rows[:before]) + "\n" * blank
+                + "".join(rows[before:]))
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        assert read_event_log(path).pulses == [before + 10]
+        path.write_text(text + "1,0,5\n")
+        bad_line = 1 + before + blank + 10 + 1
+        with pytest.raises(ConfigurationError,
+                           match=f"line {bad_line} \\('1,0,5'\\)"):
             read_event_log(path)
 
     def test_config_validation(self):
