@@ -285,8 +285,9 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="line 4 "):
             read_event_log(io.StringIO(path.read_text()))
 
-    @pytest.mark.parametrize("row, error", [("1,0,6,1", None),
-                                            ("1,0,6", "line 3 \\('1,0,6'\\)")])
+    @pytest.mark.parametrize("row, error", [
+        ("1,0,6,1", None),
+        pytest.param("1,0,6", "line 3 \\('1,0,6'\\)", id="1,0,6-line 3")])
     def test_unseekable_log(self, row, error):
         # a pipe is read once, and a bad row still names its line
         read_fd, write_fd = os.pipe()
