@@ -156,12 +156,9 @@ def cmd_fringe(args):
             pulses_per_setting=scan.pulses_per_point,
             seed=config.seed,
         )
-        log_path = None
         if args.log is not None:
-            log_path = Path(args.log)
-            if log_path.parent != Path(""):
-                log_path.parent.mkdir(parents=True, exist_ok=True)
-        result = run_experiment(exp, workers=args.workers, event_log=log_path)
+            Path(args.log).parent.mkdir(parents=True, exist_ok=True)
+        result = run_experiment(exp, workers=args.workers, event_log=args.log)
         csv_rows = [(t, coincidence_fractions(tally), tally.c_sum)
                     for t, tally in zip(thetas, result.tallies)]
         counts = [c_sum for _, _, c_sum in csv_rows]

@@ -133,7 +133,7 @@ class RunConfig:
     raw: dict
 
     def require(self, section):
-        value = getattr(self, "efficiency" if section == "efficiency" else section)
+        value = getattr(self, section)
         if value is None:
             raise ConfigurationError(
                 f"config key {section}: this subcommand requires the "
@@ -146,7 +146,7 @@ def _parse_source(doc):
     sec = _need(doc, "source", "", dict)
     mu = _number(sec, "mu", "source.", minimum=0.0)
     visibility = _number(sec, "visibility", "source.", minimum=0.0, maximum=1.0)
-    n_max = _integer(sec, "n_max", "source.", minimum=1, default=4)
+    n_max = _integer(sec, "n_max", "source.", minimum=1, default=SourceParams.n_max)
     for key in sec:
         if key not in ("mu", "visibility", "n_max"):
             _fail(f"source.{key}", "unknown key")
@@ -191,16 +191,16 @@ def _parse_scan(doc):
     for key in sec:
         if key not in known:
             _fail(f"scan.{key}", "unknown key")
-    points = _integer(sec, "points", "scan.", minimum=1, default=13)
-    span = sec.get("span", [0.0, 2.0 * math.pi / 3.0])
+    points = _integer(sec, "points", "scan.", minimum=1, default=ScanSpec.points)
+    span = sec.get("span", ScanSpec.span)
     if (not isinstance(span, (list, tuple)) or len(span) != 2
             or not all(isinstance(x, (int, float)) for x in span)):
         _fail("scan.span", "expected [low, high]")
     if not float(span[0]) < float(span[1]):
         _fail("scan.span", f"must satisfy low < high, got {span}")
     pulses = _integer(sec, "pulses_per_point", "scan.", minimum=1,
-                      default=1_000_000)
-    analytic = sec.get("analytic", False)
+                      default=ScanSpec.pulses_per_point)
+    analytic = sec.get("analytic", ScanSpec.analytic)
     if not isinstance(analytic, bool):
         _fail("scan.analytic", "expected a boolean")
     eta_range = sec.get("eta_range")
@@ -228,11 +228,12 @@ def _parse_blocks(doc):
             _fail(f"blocks.{key}", "unknown key")
     k_bar = _integer(sec, "k_bar", "blocks.", minimum=1)
     s = _integer(sec, "s", "blocks.", minimum=2)
-    num_phases = _integer(sec, "num_phases", "blocks.", minimum=0, default=6)
-    method = sec.get("method", "blocked")
+    num_phases = _integer(sec, "num_phases", "blocks.", minimum=0,
+                          default=BlockSpec.num_phases)
+    method = sec.get("method", BlockSpec.method)
     if method not in ("blocked", "pulses"):
         _fail("blocks.method", f"expected 'blocked' or 'pulses', got {method!r}")
-    include_rest = sec.get("include_rest", False)
+    include_rest = sec.get("include_rest", BlockSpec.include_rest)
     if not isinstance(include_rest, bool):
         _fail("blocks.include_rest", "expected a boolean")
     return BlockSpec(k_bar=k_bar, s=s, num_phases=num_phases, method=method,

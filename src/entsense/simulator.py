@@ -6,10 +6,12 @@ counter-based streams: a chunk of work owns the Philox generator keyed by
     key = [seed, (lane << 56) | (setting_index << 32) | (chunk_index)]
 
 so any chunk's stream is reproducible in isolation and independent of
-every other chunk.  Parallel runs split the pulse range into fixed-size
-chunks, sample each chunk on its own stream, and reduce results in chunk
-order; the output is therefore bit-identical for any worker count,
-including zero (sequential).
+every other chunk.  A run splits each setting's pulse range into
+fixed-size chunks, samples each chunk on its own stream, and reduces the
+results in (setting, chunk) order; the output is therefore bit-identical
+for any worker count, including zero (sequential).  A threaded run feeds
+every (setting, chunk) item of the run to one pool, with at most
+2 * workers chunks in flight across setting boundaries.
 
 Two sampling paths are exposed:
 
@@ -36,7 +38,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
-from typing import IO
 
 import numpy as np
 
@@ -224,13 +225,6 @@ def sample_pulse(source, eff, u, rng, routing="sensing"):
     return int(patterns[0]), int(m[0])
 
 
-def _chunk_bounds(pulses, chunk_size):
-    n_chunks = -(-pulses // chunk_size)
-    for c in range(n_chunks):
-        lo = c * chunk_size
-        yield c, lo, min(chunk_size, pulses - lo)
-
-
 def _interference_phase(setting):
     # validates the (1, 2) pass topology as a side effect
     return 3.0 * global_phase(setting)
@@ -240,55 +234,48 @@ def run_experiment(config, *, workers=None, event_log=None):
     """Run the full pulse-path acquisition described by config.
 
     Deterministic given (config.seed, config.chunk_size): chunk streams
-    are keyed by (seed, setting, chunk) and reduced in chunk order, so any
-    worker count gives bit-identical tallies and event logs.  When
-    event_log is a path or writable text file, every pulse is appended as
+    are keyed by (seed, setting, chunk) and reduced in (setting, chunk)
+    order, so any worker count gives bit-identical tallies and event logs.
+    One pool of `workers` threads serves the whole run (none when workers
+    is unset or 1) and keeps at most 2 * workers chunks in flight, across
+    setting boundaries.  Every setting is validated before the log is
+    opened, so a bad setting leaves no partial log.  When event_log is a
+    path or writable text file, every pulse is appended as
     `pulse_index,setting_index,pattern,truth_pairs`.
     """
-    close_log = False
-    log_fh: IO | None = None
-    if event_log is not None:
-        if hasattr(event_log, "write"):
-            log_fh = event_log
-        else:
-            log_fh = open(Path(event_log), "w", newline="")
-            close_log = True
-        log_fh.write(EVENT_LOG_HEADER + "\n")
-    try:
-        tallies = []
-        truth_totals = []
-        pulse_totals = []
-        for s_idx, setting in enumerate(config.settings):
-            u = _interference_phase(setting)
-            counts = np.zeros(N_PATTERNS, dtype=np.int64)
-            truth = 0
-            chunks = list(_chunk_bounds(config.pulses_per_setting, config.chunk_size))
+    phases = [_interference_phase(setting) for setting in config.settings]
+    pulses, chunk_size = config.pulses_per_setting, config.chunk_size
+    work = [(s_idx, c_idx, lo, min(chunk_size, pulses - lo))
+            for s_idx in range(len(phases))
+            for c_idx, lo in enumerate(range(0, pulses, chunk_size))]
 
-            def draw(chunk):
-                c_idx, lo, size = chunk
-                rng = stream_generator(config.seed, LANE_PULSES, s_idx, c_idx)
-                patterns, m = sample_patterns(
-                    config.source, config.eff, u, rng, size, config.routing
-                )
-                return lo, patterns, m
+    def draw(item):
+        s_idx, c_idx, lo, size = item
+        rng = stream_generator(config.seed, LANE_PULSES, s_idx, c_idx)
+        patterns, m = sample_patterns(
+            config.source, config.eff, phases[s_idx], rng, size, config.routing
+        )
+        return s_idx, lo, patterns, m
 
-            threaded = workers and workers > 1
-            pool = ThreadPoolExecutor(max_workers=workers) if threaded else None
-            with pool or nullcontext():
-                drawn = (_in_order(pool, draw, chunks, 2 * workers) if pool
-                         else map(draw, chunks))
-                for lo, patterns, m in drawn:
-                    counts += np.bincount(patterns, minlength=N_PATTERNS)
-                    truth += int(m.sum(dtype=np.int64))
-                    if log_fh is not None:
-                        _write_log_chunk(log_fh, lo, s_idx, patterns, m)
-            tallies.append(Tally(counts, setting_index=s_idx))
-            truth_totals.append(truth)
-            pulse_totals.append(config.pulses_per_setting)
-        return ExperimentResult(tallies, truth_totals, pulse_totals)
-    finally:
-        if close_log and log_fh is not None:
-            log_fh.close()
+    counts = np.zeros((len(phases), N_PATTERNS), dtype=np.int64)
+    truth = [0] * len(phases)
+    to_file = event_log is not None and not hasattr(event_log, "write")
+    threaded = workers and workers > 1
+    with (
+        open(Path(event_log), "w", newline="") if to_file
+        else nullcontext(event_log) as log_fh,
+        ThreadPoolExecutor(max_workers=workers) if threaded else nullcontext() as pool,
+    ):
+        if log_fh is not None:
+            log_fh.write(EVENT_LOG_HEADER + "\n")
+        drawn = _in_order(pool, draw, work, 2 * workers) if pool else map(draw, work)
+        for s_idx, lo, patterns, m in drawn:
+            counts[s_idx] += np.bincount(patterns, minlength=N_PATTERNS)
+            truth[s_idx] += int(m.sum(dtype=np.int64))
+            if log_fh is not None:
+                _write_log_chunk(log_fh, lo, s_idx, patterns, m)
+    tallies = [Tally(row, setting_index=s_idx) for s_idx, row in enumerate(counts)]
+    return ExperimentResult(tallies, truth, [pulses] * len(phases))
 
 
 def _in_order(pool, fn, items, depth):

@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from entsense import simulator
-from entsense.errors import ConfigurationError, EmptyStatisticsError
+from entsense.errors import ConfigurationError, DomainError, EmptyStatisticsError
 from entsense.events import Tally, coincidence_fractions
 from entsense.model import (
     INFORMATIVE_PATTERNS,
@@ -200,6 +200,29 @@ class TestRunExperiment:
         serial_log = io.StringIO()
         assert run_experiment(cfg, event_log=serial_log).tallies == result.tallies
         assert serial_log.getvalue() == log.getvalue()
+
+    def test_one_pool_per_run(self, monkeypatch):
+        # a threaded run builds one pool for all its settings, a serial
+        # run none, and both give the same tallies and log
+        pools = []
+
+        class CountingPool(simulator.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", CountingPool)
+        cfg = self.make_config(
+            settings=tuple(PhaseSetting(0.7 * k, 0.0) for k in range(3)),
+            pulses_per_setting=5 * 4096, chunk_size=4096)
+        threaded_log, serial_log = io.StringIO(), io.StringIO()
+        threaded = run_experiment(cfg, workers=2, event_log=threaded_log)
+        assert len(pools) == 1
+        serial = run_experiment(cfg, event_log=serial_log)
+        assert len(pools) == 1
+        assert threaded.tallies == serial.tallies
+        assert threaded.truth_pairs == serial.truth_pairs
+        assert threaded_log.getvalue() == serial_log.getvalue()
 
     def test_short_final_chunk(self):
         cfg = self.make_config(pulses_per_setting=100_001, chunk_size=1 << 15)
@@ -391,10 +414,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             self.make_config(routing="both")
 
-    def test_nonstandard_pass_counts_rejected_at_run_time(self):
-        cfg = self.make_config(settings=(PhaseSetting(0.1, 0.2, pass_counts=(3, 2)),))
-        with pytest.raises(Exception):
-            run_experiment(cfg)
+    def test_nonstandard_pass_counts_rejected_at_run_time(self, tmp_path):
+        # every setting is checked before the log is opened: a bad second
+        # setting leaves no log holding the first setting's rows
+        cfg = self.make_config(settings=(PhaseSetting(0.9, 0.0),
+                                         PhaseSetting(0.1, 0.2, pass_counts=(3, 2))))
+        path = tmp_path / "events.csv"
+        with pytest.raises(DomainError):
+            run_experiment(cfg, event_log=path)
+        assert not path.exists()
 
 
 def savetxt_log_chunk(fh, lo, setting_index, patterns, m):
