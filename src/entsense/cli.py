@@ -77,8 +77,7 @@ def analytic_calibration(source, eff, points=_CALIBRATION_POINTS):
     Stands in for a calibration run of unlimited length: the scan rows
     are the closed-form coincidence fractions over one fringe period.
     Fractions are normalized by the full informative probability, not by
-    the quartet alone, so the fit's offsets leave room for a meaningful
-    rest category when estimation wants one.
+    the quartet alone, as the measured fractions are normalized by C_sum.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi / 3.0, points)
     rows = _analytic_rows(source, eff, [float(t) for t in thetas])
@@ -116,12 +115,13 @@ def _load_run_config(args):
     if args.seed is not None:
         raw["seed"] = args.seed
         changed = True
-    if args.trials is not None:
+    trials = getattr(args, "trials", None)  # random-phase only
+    if trials is not None:
         if "blocks" not in raw:
             raise ConfigurationError(
                 "config key blocks: --trials override requires a blocks section"
             )
-        raw["blocks"]["num_phases"] = args.trials
+        raw["blocks"]["num_phases"] = trials
         changed = True
     if changed:
         config = parse_config(raw)
@@ -185,7 +185,7 @@ def cmd_precision(args):
     calibration = analytic_calibration(source, eff)
     thetas, measurements, peak = precision_scan(
         source, eff, calibration, scan.points, blocks.k_bar, blocks.s,
-        seed=config.seed, method=blocks.method, include_rest=blocks.include_rest,
+        seed=config.seed,
     )
 
     dump_csv(PRECISION_CSV_HEADER, [
@@ -255,7 +255,7 @@ def cmd_random_phase(args):
     calibration = analytic_calibration(source, eff)
     trial_set = run_random_phase_experiment(
         source, eff, calibration, blocks.num_phases, blocks.k_bar, blocks.s,
-        seed=config.seed, method=blocks.method, include_rest=blocks.include_rest,
+        seed=config.seed,
     )
     write_trials_csv(trial_set, out / "trials.csv")
     trials_doc = [tr.as_dict() for tr in trial_set.trials]
@@ -303,9 +303,7 @@ def cmd_audit(args):
         precision = []
         for tally, patterns in zip(result.tallies, result.patterns):
             report, s = measure_logged_setting(
-                patterns, tally, source, eff, calibration, config.blocks.k_bar,
-                include_rest=config.blocks.include_rest,
-            )
+                patterns, tally, source, eff, calibration, config.blocks.k_bar)
             fields = report.as_dict() if report else {"degenerate": True}
             precision.append({"setting_index": tally.setting_index, "s": s, **fields})
     doc["precision"] = precision
@@ -350,14 +348,12 @@ def build_parser():
                        help="override the config's seed (unsigned 64-bit)")
         p.add_argument("--out", default=".",
                        help="output directory (default: current)")
-        p.add_argument("--workers", type=int,
-                       help="worker threads for pulse-path sampling")
-        p.add_argument("--trials", type=int,
-                       help="override blocks.num_phases")
 
     p = sub.add_parser("fringe",
                        help="scan the coincidence fringe and fit it")
     common(p)
+    p.add_argument("--workers", type=int,
+                   help="worker threads for pulse-path sampling")
     p.add_argument("--log",
                    help="also write the per-pulse event log to this path")
 
@@ -372,6 +368,8 @@ def build_parser():
     p = sub.add_parser("random-phase",
                        help="estimate bit-sourced unknown phases")
     common(p)
+    p.add_argument("--trials", type=int,
+                   help="override blocks.num_phases")
 
     p = sub.add_parser("audit",
                        help="recompute tallies and accounting from an event log")

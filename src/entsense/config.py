@@ -117,8 +117,6 @@ class BlockSpec:
     k_bar: int
     s: int
     num_phases: int = 6
-    method: str = "blocked"
-    include_rest: bool = False
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ def _parse_blocks(doc):
     if "blocks" not in doc:
         return None
     sec = _need(doc, "blocks", "", dict)
-    known = {"k_bar", "s", "num_phases", "method", "include_rest"}
+    known = {"k_bar", "s", "num_phases"}
     for key in sec:
         if key not in known:
             _fail(f"blocks.{key}", "unknown key")
@@ -230,14 +228,7 @@ def _parse_blocks(doc):
     s = _integer(sec, "s", "blocks.", minimum=2)
     num_phases = _integer(sec, "num_phases", "blocks.", minimum=0,
                           default=BlockSpec.num_phases)
-    method = sec.get("method", BlockSpec.method)
-    if method not in ("blocked", "pulses"):
-        _fail("blocks.method", f"expected 'blocked' or 'pulses', got {method!r}")
-    include_rest = sec.get("include_rest", BlockSpec.include_rest)
-    if not isinstance(include_rest, bool):
-        _fail("blocks.include_rest", "expected a boolean")
-    return BlockSpec(k_bar=k_bar, s=s, num_phases=num_phases, method=method,
-                     include_rest=include_rest)
+    return BlockSpec(k_bar=k_bar, s=s, num_phases=num_phases)
 
 
 def parse_config(doc):

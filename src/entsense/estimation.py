@@ -243,60 +243,48 @@ def fit_fringe(scan, counts=None):
 
 
 _COINC_SLOTS = [INFORMATIVE_PATTERNS.index(p) for p in COINCIDENCE_PATTERNS]
-_REST_SLOTS = [
-    j for j, p in enumerate(INFORMATIVE_PATTERNS) if p not in COINCIDENCE_PATTERNS
-]
 _STEP_TOL = 8.0 * np.finfo(float).eps  # Newton solve: a few ulp of u ~ 1
 _MAX_STEPS = 64  # bisection alone takes a piece of width pi to _STEP_TOL in 51
 
 
-def _category_log_probs(u_grid, calibration, include_rest):
-    """log p per category (4 or 5) on the u grid, per the calibration."""
+def _category_log_probs(u_grid, calibration):
+    """log p per coincidence channel on the u grid, per the calibration."""
     rates = calibration.channel_fractions(u_grid)  # (G, 4), fractions of C_sum
-    if include_rest:
-        rest = np.clip(1.0 - rates.sum(axis=1, keepdims=True), 1e-12, None)
-        probs = np.concatenate([rates, rest], axis=1)
-    else:
-        probs = rates / rates.sum(axis=1, keepdims=True)
+    probs = rates / rates.sum(axis=1, keepdims=True)
     return np.log(np.clip(probs, 1e-300, None))
 
 
-def _loglike_slopes(cats, calibration, include_rest, u):
+def _loglike_slopes(cats, calibration, u):
     """L'(u) and L''(u) of cats @ _category_log_probs, one u per row.
 
-    Each log p is a sum of log(alpha + beta cos(u + phi0)) terms of the fit
-    r_c = a_c (1 + s_c V cos(u + phi0)); clipped terms are constant there."""
+    Each log p = log r_c - log R is a sum of log(alpha + beta cos(u + phi0))
+    terms of the fit r_c = a_c (1 + s_c V cos(u + phi0)), R their sum;
+    clipped terms are constant there."""
     alpha = np.array(calibration.offsets)
     beta = alpha * np.array(FRINGE_SIGNS) * calibration.visibility_hat
-    if include_rest:  # log r_c and log(1 - R)
-        alpha, beta = np.append(alpha, 1.0 - alpha.sum()), np.append(beta, -beta.sum())
-    else:  # log r_c - log R
-        alpha, beta = np.append(alpha, alpha.sum()), np.append(beta, beta.sum())
+    alpha, beta = np.append(alpha, alpha.sum()), np.append(beta, beta.sum())
     phase = u[:, None] + calibration.phase_offset
     # two terms of one sign, so no cancellation where a probability vanishes
     f = alpha - abs(beta) + 2 * abs(beta) * np.where(
         beta > 0, np.cos(phase / 2), np.sin(phase / 2)) ** 2
-    if include_rest:
-        weights = np.where(f > [1e-300] * 4 + [1e-12], cats, 0)
-    else:
-        weights = np.where(f[:, :4] / f[:, 4:] > 1e-300, cats, 0)
-        weights = np.column_stack([weights, -weights.sum(axis=1)])
+    weights = np.where(f[:, :4] / f[:, 4:] > 1e-300, cats, 0)
+    weights = np.column_stack([weights, -weights.sum(axis=1)])
     f = np.where(weights != 0, f, 1.0)  # keeps 0 * inf out of dropped terms
     g = -beta * np.sin(phase) / f
     h = -beta * np.cos(phase) / f - g * g
     return (weights * g).sum(axis=1), (weights * h).sum(axis=1)
 
 
-def mle_phase(tally, calibration, include_rest=False):
+def mle_phase(tally, calibration):
     """Maximum-likelihood global phase from one tally of counts.
 
-    Maximizes the multinomial log-likelihood of the four coincidence
-    counts over u = 3*theta_hat in (0, pi), against the calibrated fringe
-    curves; returns theta_hat = u/3.  By default the likelihood conditions
-    on the coincidence subset, so the other informative types enter only
-    through the C_sum normalization already baked into the calibration
-    fractions; include_rest=True adds them as a fifth category with its
-    own phase dependence.
+    tally is a Tally or the four coincidence counts (A1B1, A1B2, A2B1,
+    A2B2).  Maximizes the multinomial log-likelihood of the four
+    coincidence counts over u = 3*theta_hat in (0, pi), against the
+    calibrated fringe curves; returns theta_hat = u/3.  The likelihood
+    conditions on the coincidence subset, so the other informative types
+    enter only through the C_sum normalization already baked into the
+    calibration fractions.
 
     Degenerate cases follow estimate_blocks' rules and warnings.
     """
@@ -306,34 +294,28 @@ def mle_phase(tally, calibration, include_rest=False):
         row = np.asarray(tally.counts)[list(INFORMATIVE_PATTERNS)]
     else:
         counts = np.asarray(tally, dtype=np.int64)
-        want = 5 if include_rest else 4
-        if counts.shape != (want,):
+        if counts.shape != (4,):
             raise ConfigurationError(
-                f"expected {want} category counts, got shape {counts.shape}"
+                f"expected 4 category counts, got shape {counts.shape}"
             )
-        if counts.sum() == 0 and include_rest:
-            raise EmptyStatisticsError("no events in category counts")
-        # the rest count stands in one rest slot; estimate_blocks sums them
         row = np.zeros(len(INFORMATIVE_PATTERNS), dtype=np.int64)
-        row[_COINC_SLOTS] = counts[:4]
-        row[_REST_SLOTS[0]] = counts[4:].sum()
-    return float(estimate_blocks(row[None, :], calibration,
-                                 include_rest=include_rest)[0])
+        row[_COINC_SLOTS] = counts
+    return float(estimate_blocks(row[None, :], calibration)[0])
 
 
-def estimate_blocks(block_counts, calibration, include_rest=False):
+def estimate_blocks(block_counts, calibration):
     """Vectorized per-block MLE: one theta_hat per row of block_counts.
 
     block_counts is (s, 9) over INFORMATIVE_PATTERNS order (as produced
     by the blocked samplers).
 
     L depends on u only through c = cos(u + phi0) and has at most one
-    stationary point in c, a maximum (Cauchy-Schwarz; concavity with
-    include_rest).  c turns at -phi0 mod pi; the longer of the two monotone
-    pieces of [0, pi] spans the other's c range, so it brackets one
-    safeguarded Newton solve for all blocks, started at arccos(c) - phi0 for
-    the least-squares c of the coincidence fractions clipped to [-1, 1], or
-    at the piece's midpoint when that is outside the open piece.  Ties: u
+    stationary point in c, a maximum (Cauchy-Schwarz).  c turns at -phi0
+    mod pi; the longer of the two monotone pieces of [0, pi] spans the
+    other's c range, so it brackets one safeguarded Newton solve for all
+    blocks, started at arccos(c) - phi0 for the least-squares c of the
+    coincidence fractions clipped to [-1, 1], or at the piece's midpoint
+    when that is outside the open piece.  Ties: u
     and (-2*phi0 - u) mod 2*pi share L to rounding (< 1e-12 |L|); the lower
     is returned.  Flat (L(u_hat) < 1e-12 above the lower piece end): the
     branch midpoint.  Boundary: a maximum within 1e-6 of 0 or pi is that
@@ -347,16 +329,13 @@ def estimate_blocks(block_counts, calibration, include_rest=False):
             "block_counts must have one column per informative type"
         )
     cats = block_counts[:, _COINC_SLOTS]
-    if include_rest:
-        rest = block_counts[:, _REST_SLOTS].sum(axis=1, keepdims=True)
-        cats = np.concatenate([cats, rest], axis=1)
 
     phi0 = calibration.phase_offset
     turn = -phi0 % math.pi  # where cos(u + phi0) turns; 0 when phi0 = 0
     left, right = (0.0, turn) if turn >= math.pi / 2.0 else (turn, math.pi)
     a = np.array(calibration.offsets)
     b = a * np.array(FRINGE_SIGNS) * calibration.visibility_hat
-    fracs = cats[:, :4] / np.maximum(cats[:, :4].sum(axis=1, keepdims=True), 1)
+    fracs = cats / np.maximum(cats.sum(axis=1, keepdims=True), 1)
     c = (fracs * a.sum() - a) @ b / max(b @ b, np.finfo(float).tiny)
     start = np.arccos(np.clip(c, -1.0, 1.0)) - phi0
     u_hat = np.where((left < start) & (start < right), start, (left + right) / 2.0)
@@ -370,7 +349,7 @@ def estimate_blocks(block_counts, calibration, include_rest=False):
     active = np.arange(len(cats))
     for _ in range(_MAX_STEPS):
         x = u_hat[active]
-        g, h = _loglike_slopes(cats[active], calibration, include_rest, x)
+        g, h = _loglike_slopes(cats[active], calibration, x)
         lo[active] = b_lo = np.where(g > 0, x, lo[active])
         hi[active] = b_hi = np.where(g > 0, hi[active], x)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
@@ -380,8 +359,7 @@ def estimate_blocks(block_counts, calibration, include_rest=False):
                         & (math.pi - b_lo >= 1e-6)]
         if not active.size:
             break
-    logp = _category_log_probs(np.append(u_hat, [left, right]), calibration,
-                               include_rest)
+    logp = _category_log_probs(np.append(u_hat, [left, right]), calibration)
     peak = (cats * logp[:-2]).sum(axis=1)
     flat = peak - (cats[:, None, :] * logp[-2:]).sum(axis=2).min(axis=1) < 1e-12
     u_hat = np.minimum(u_hat, (-2.0 * phi0 - u_hat) % (2.0 * math.pi))
@@ -410,17 +388,6 @@ class BlockStats:
     estimates: tuple
     delta_hat: float
     delta_err: float
-
-    def to_json(self, path=None, include_estimates=True):
-        doc = {
-            "s": self.s,
-            "k_bar": self.k_bar,
-            "delta_hat": self.delta_hat,
-            "delta_err": self.delta_err,
-        }
-        if include_estimates:
-            doc["estimates"] = list(self.estimates)
-        return dump_json(doc, path)
 
 
 def block_stats(estimates, k_bar=None):

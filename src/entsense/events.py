@@ -43,7 +43,6 @@ __all__ = [
     "coincidence_fractions",
     "estimate_efficiencies",
     "write_tally_csv",
-    "read_tally_csv",
 ]
 
 
@@ -183,13 +182,6 @@ class Tally:
     def __getitem__(self, key: EventType | int | str) -> int:
         return int(self.counts[int(_coerce_type(key))])
 
-    def add_pattern(self, pattern: int, repeat: int = 1) -> None:
-        """Streaming update: record one pattern ``repeat`` times."""
-        p = int(classify(pattern))
-        if repeat < 0:
-            raise ConfigurationError("repeat must be nonnegative")
-        self.counts[p] += repeat
-
     @property
     def total(self) -> int:
         """Pulses processed (all sixteen outcomes, no-click included)."""
@@ -238,10 +230,6 @@ class Tally:
         return self.setting_index == other.setting_index and bool(
             np.array_equal(self.counts, other.counts)
         )
-
-    @classmethod
-    def zero(cls, setting_index: int = 0) -> "Tally":
-        return cls(np.zeros(N_PATTERNS, dtype=np.int64), setting_index)
 
 
 def _coerce_type(key: EventType | int | str) -> EventType:
@@ -337,32 +325,3 @@ def write_tally_csv(tallies: Iterable[Tally] | Tally, path) -> None:
                     (tally.setting_index, EventType(p).name, int(tally.counts[p]))
                 )
 
-
-def read_tally_csv(path) -> list[Tally]:
-    """Read tallies written by :func:`write_tally_csv`, ordered by setting.
-
-    Rows for the same setting accumulate, so a file holding partial tallies
-    round-trips to their merged totals.
-    """
-    accumulators: dict[int, np.ndarray] = {}
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != _TALLY_HEADER:
-            raise ConfigurationError(
-                f"expected tally CSV header {','.join(_TALLY_HEADER)}, got {header}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ConfigurationError(f"malformed tally CSV row: {row}")
-            setting = int(row[0])
-            event = _coerce_type(row[1].strip())
-            count = int(row[2])
-            if count < 0:
-                raise ConfigurationError(f"negative count in tally CSV row: {row}")
-            accumulators.setdefault(
-                setting, np.zeros(N_PATTERNS, dtype=np.int64)
-            )[int(event)] += count
-    return [Tally(accumulators[s], s) for s in sorted(accumulators)]

@@ -326,12 +326,6 @@ class ClickDistribution:
         """Total probability of the nine both-sides-clicked patterns."""
         return float(self.probs[list(INFORMATIVE_PATTERNS)].sum())
 
-    def channel_click_probability(self, channel):
-        """Probability that a given detector clicks (any accompanying clicks)."""
-        bit = 1 << CHANNEL_BIT[channel]
-        idx = [p for p in range(N_PATTERNS) if p & bit]
-        return float(self.probs[idx].sum())
-
     def coincidence_quartet(self):
         """Probabilities of the exact twofold patterns (A1B1, A1B2, A2B1, A2B2)."""
         return self.probs[list(COINCIDENCE_PATTERNS)].copy()

@@ -40,11 +40,9 @@ from .resources import PrecisionReport, ResourceAudit, predicted_db_below_snl
 from .simulator import (
     LANE_BITS,
     LANE_BLOCKS,
-    LANE_PULSES,
     LANE_TALLY,
     cut_blocks,
     sample_blocked_run,
-    sample_blocked_run_pulse_level,
     sample_tally,
     stream_generator,
 )
@@ -145,34 +143,25 @@ class PhaseMeasurement:
 
 
 def measure_phase_point(source, eff, calibration, u, k_bar, s, *, seed,
-                        setting_index=0, method="blocked",
-                        include_rest=False):
+                        setting_index=0):
     """Simulate and reduce s blocks of k_bar informative events at u.
 
-    method 'blocked' uses the exact factorized block sampler; 'pulses'
-    streams individual pulses (slow, used to validate the shortcut).
-    The audit covers the whole run; the precision report divides its n
-    by s, because the spread it quotes is the precision of one block's
-    worth of resources, not of the pooled run.
+    The blocks are drawn by the exact factorized block sampler,
+    sample_blocked_run, on the blocked-run lane of setting_index.  The
+    audit covers the whole run; the precision report divides its n by s,
+    because the spread it quotes is the precision of one block's worth
+    of resources, not of the pooled run.
     """
     if calibration is None:
         raise ConfigurationError(
             "a fringe calibration must be fitted before phase estimation"
         )
-    if method == "blocked":
-        sampler = sample_blocked_run
-    elif method == "pulses":
-        sampler = sample_blocked_run_pulse_level
-    else:
-        raise ConfigurationError(
-            f"method must be 'blocked' or 'pulses', got {method!r}"
-        )
-    lane = LANE_BLOCKS if method == "blocked" else LANE_PULSES
-    rng = stream_generator(seed, lane, setting_index=setting_index)
-    run = sampler(source, eff, u, k_bar, s, rng, setting_index=setting_index)
+    rng = stream_generator(seed, LANE_BLOCKS, setting_index=setting_index)
+    run = sample_blocked_run(source, eff, u, k_bar, s, rng,
+                             setting_index=setting_index)
     audit = ResourceAudit.from_tallies(run.tally, source, eff)
     theta_hat, stats, report = _block_report(
-        run.block_counts, calibration, k_bar, audit.n / s, include_rest,
+        run.block_counts, calibration, k_bar, audit.n / s,
         params={
             "mu": source.mu,
             "visibility": source.visibility,
@@ -189,8 +178,7 @@ def measure_phase_point(source, eff, calibration, u, k_bar, s, *, seed,
     )
 
 
-def measure_logged_setting(patterns, tally, source, eff, calibration, k_bar,
-                           *, include_rest=False):
+def measure_logged_setting(patterns, tally, source, eff, calibration, k_bar):
     """Re-cut one logged setting into blocks and reduce them.
 
     patterns is the setting's informative click patterns in log order,
@@ -215,13 +203,12 @@ def measure_logged_setting(patterns, tally, source, eff, calibration, k_bar,
     audit = ResourceAudit.from_tallies(tally, source, eff)
     _, _, report = _block_report(
         cut_blocks(patterns, k_bar, s), calibration, k_bar, audit.n * k_bar / K,
-        include_rest, params={"k_bar": k_bar, "s": s},
+        params={"k_bar": k_bar, "s": s},
     )
     return report, s
 
 
-def precision_scan(source, eff, calibration, points, k_bar, s, *, seed,
-                   method="blocked", include_rest=False):
+def precision_scan(source, eff, calibration, points, k_bar, s, *, seed):
     """Blocked precision at points interior setpoints of the branch.
 
     The branch ends are fringe extrema where the estimate degenerates, so
@@ -234,8 +221,7 @@ def precision_scan(source, eff, calibration, points, k_bar, s, *, seed,
     thetas = [branch * (j + 1) / (points + 1) for j in range(points)]
     measurements = [
         measure_phase_point(source, eff, calibration, 3.0 * t, k_bar, s,
-                            seed=seed, setting_index=j, method=method,
-                            include_rest=include_rest)
+                            seed=seed, setting_index=j)
         for j, t in enumerate(thetas)
     ]
     peak = max(range(len(measurements)),
@@ -273,11 +259,10 @@ def threshold_scan(source, etas, pulses, *, seed):
     return rows, (slope, intercept, -intercept / slope if slope != 0 else None)
 
 
-def _block_report(block_counts, calibration, k_bar, n, include_rest, params):
+def _block_report(block_counts, calibration, k_bar, n, params):
     """(theta_hat, stats, report) of the blocks against a per-block
     resource share n; report is None when the spread is zero."""
-    estimates = estimate_blocks(block_counts, calibration,
-                                include_rest=include_rest)
+    estimates = estimate_blocks(block_counts, calibration)
     stats = block_stats(estimates, k_bar=k_bar)
     theta_hat = float(np.mean(estimates))
     if stats.delta_hat == 0.0:
@@ -333,8 +318,7 @@ class RandomPhaseTrialSet:
 
 
 def run_random_phase_experiment(source, eff, calibration, num_phases, k_bar,
-                                s, *, seed, method="blocked",
-                                include_rest=False):
+                                s, *, seed):
     """Run num_phases random unknown-phase trials end to end.
 
     For each trial both sensor angles are drawn from the bit source, the
@@ -354,8 +338,7 @@ def run_random_phase_experiment(source, eff, calibration, num_phases, k_bar,
         theta_true = fold_to_branch(global_phase(setting))
         u = 3.0 * theta_true
         measurement = measure_phase_point(
-            source, eff, calibration, u, k_bar, s, seed=seed,
-            setting_index=i, method=method, include_rest=include_rest,
+            source, eff, calibration, u, k_bar, s, seed=seed, setting_index=i,
         )
         trials.append(PhaseTrial(index=i, setting=setting,
                                  theta_true=theta_true,

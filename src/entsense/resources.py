@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import dump_json
 from .errors import ConfigurationError, DomainError
 from .model import CHANNELS
 
@@ -201,7 +200,7 @@ class ResourceAudit:
         return cls.from_counts(recorded, source.mu, dict(eff.eta))
 
     def as_dict(self):
-        """The document to_json writes, as a dict."""
+        """The accounting as a JSON-ready dict, as audit.json holds it."""
         return {
             "N_i": {ch: self.N_i[ch] for ch in CHANNELS},
             "N_tilde_i": {ch: self.N_tilde_i[ch] for ch in CHANNELS},
@@ -209,9 +208,6 @@ class ResourceAudit:
             "mu": self.mu,
             "eta": {ch: self.eta[ch] for ch in CHANNELS},
         }
-
-    def to_json(self, path=None):
-        return dump_json(self.as_dict(), path)
 
 
 @dataclass(frozen=True)
@@ -253,7 +249,7 @@ class PrecisionReport:
         )
 
     def as_dict(self):
-        """The document to_json writes, as a dict."""
+        """The report as a JSON-ready dict, as the precision outputs hold it."""
         return {
             "theta_hat": self.theta_hat,
             "delta_hat": self.delta_hat,
@@ -264,6 +260,3 @@ class PrecisionReport:
             "db_below_snl": self.db_below_snl,
             "params": dict(self.params),
         }
-
-    def to_json(self, path=None):
-        return dump_json(self.as_dict(), path)

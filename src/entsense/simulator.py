@@ -63,7 +63,6 @@ __all__ = [
     "ExperimentResult",
     "BlockedRunSample",
     "stream_generator",
-    "sample_pulse",
     "sample_patterns",
     "run_experiment",
     "sample_tally",
@@ -176,9 +175,6 @@ class ExperimentResult:
     pulses: list
     patterns: list | None = None
 
-    def __iter__(self):
-        return iter(self.tallies)
-
 
 def _alice_bob_index(routes):
     # route order (A1B1, A1B2, A2B1, A2B2): alice = r >> 1, bob = r & 1
@@ -217,12 +213,6 @@ def sample_patterns(source, eff, u, rng, n, routing="sensing"):
         starts = np.concatenate(([0], np.cumsum(m, dtype=np.int64)))[:-1]
         patterns[emitting] = np.bitwise_or.reduceat(masks, starts[emitting])
     return patterns, m
-
-
-def sample_pulse(source, eff, u, rng, routing="sensing"):
-    """One pulse: (click pattern, emitted pairs).  rng is caller-owned."""
-    patterns, m = sample_patterns(source, eff, u, rng, 1, routing)
-    return int(patterns[0]), int(m[0])
 
 
 def _interference_phase(setting):
@@ -523,8 +513,7 @@ def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,
     Streams pulses until the (k_bar*s)-th informative event, trims at
     exactly that pulse, and cuts blocks by informative arrival order.
     Slower than sample_blocked_run by orders of magnitude; exists to
-    cross-validate the factorized sampler and for callers that want the
-    literal stream.
+    cross-validate the factorized sampler.
     """
     if k_bar < 1 or s < 1:
         raise ConfigurationError("blocked run needs k_bar >= 1 and s >= 1")

@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,12 +88,28 @@ class TestArgumentHandling:
             assert name in err
 
     def test_trials_without_blocks_section_rejected(self, tmp_path, capsys):
-        doc = fringe_doc(analytic=True)
+        doc = blocks_doc()
+        del doc["blocks"]
         cfg = write_config(tmp_path / "c.json", doc)
-        code = main(["fringe", "--config", cfg, "--trials", "3",
+        code = main(["random-phase", "--config", cfg, "--trials", "3",
                      "--out", str(tmp_path)])
         assert code == 2
-        assert "config key blocks" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config key blocks" in err and "--trials" in err
+
+    @pytest.mark.parametrize("flag, owner", [("--workers", "fringe"),
+                                             ("--trials", "random-phase")])
+    def test_flag_only_on_subcommand_that_reads_it(self, tmp_path, capsys,
+                                                   flag, owner):
+        for sub in ("fringe", "precision", "threshold-scan", "random-phase",
+                    "audit"):
+            if sub == owner:
+                continue
+            log = ["--log", "events.csv"] if sub == "audit" else []
+            code = main([sub, "--preset", "ideal", flag, "3", *log,
+                         "--out", str(tmp_path)])
+            assert code == 2
+            assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_console_script_version(self):
         out = subprocess.run(["entsense", "--version"], capture_output=True,
@@ -144,6 +161,25 @@ class TestConfigErrors:
     def test_non_object_root_rejected(self):
         with pytest.raises(ConfigurationError, match="config root"):
             parse_config([1, 2, 3])
+
+    @pytest.mark.parametrize("key", ["include_rest", "method"])
+    def test_removed_blocks_key_rejected(self, tmp_path, capsys, key):
+        doc = blocks_doc()
+        doc["blocks"][key] = False if key == "include_rest" else "blocked"
+        cfg = write_config(tmp_path / "c.json", doc)
+        code = main(["random-phase", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config key blocks.{key}: unknown key" in capsys.readouterr().err
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Config schema", 1)[1]
+        example = example.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads("\n".join(line for line in example.splitlines()
+                                    if not line.lstrip().startswith("//")))
+        config = parse_config(doc)
+        assert set(doc) == {"source", "efficiency", "scan", "blocks", "seed"}
+        assert config.blocks.num_phases == doc["blocks"]["num_phases"]
 
     def test_all_presets_parse(self):
         for name in PRESET_NAMES:

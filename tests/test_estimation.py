@@ -28,7 +28,6 @@ from entsense.errors import (
 )
 from entsense.estimation import (
     FRINGE_SIGNS,
-    BlockStats,
     FringeFit,
     block_stats,
     estimate_blocks,
@@ -258,13 +257,6 @@ class TestMlePhase:
         theta_hat = mle_phase(tally, cal)
         assert abs(theta_hat - 0.9 / 3) < 1e-7
 
-    def test_include_rest_agrees_on_pure_coincidence_tally(self):
-        tally = tally_from_quartet(coincidence_probs(math.pi / 2, V_EFF_240))
-        cal = FringeFit.ideal(visibility=V_EFF_240)
-        t0 = mle_phase(tally, cal)
-        t1 = mle_phase(tally, cal, include_rest=True)
-        assert abs(t0 - t1) < 1e-9
-
     def test_calibration_phase_offset_shifts_inversion(self):
         tally = tally_from_quartet(coincidence_probs(1.7, 0.95))
         cal = FringeFit.ideal(visibility=0.95, phase_offset=0.2)
@@ -299,7 +291,7 @@ class TestMlePhase:
 
     def test_empty_tally_rejected(self):
         with pytest.raises(EmptyStatisticsError):
-            mle_phase(Tally.zero(), FringeFit.ideal())
+            mle_phase(Tally(), FringeFit.ideal())
 
     def test_category_vector_input_matches_tally_input(self):
         quartet = coincidence_probs(1.1, 0.9)
@@ -313,10 +305,6 @@ class TestMlePhase:
         cal = FringeFit.ideal()
         with pytest.raises(ConfigurationError):
             mle_phase(np.array([1, 2, 3]), cal)
-        with pytest.raises(ConfigurationError):
-            mle_phase(np.array([1, 2, 3, 4]), cal, include_rest=True)
-        with pytest.raises(EmptyStatisticsError):
-            mle_phase(np.zeros(5, dtype=int), cal, include_rest=True)
 
 
 class TestEstimateBlocks:
@@ -369,19 +357,19 @@ class TestEstimateBlocks:
 GRID_SIZE = 4096  # the u grid of both references below
 
 
-def brent_estimate_blocks(block_counts, cal, include_rest=False):
+def brent_estimate_blocks(block_counts, cal):
     """The per-block bounded-Brent polish that the batched Newton solve
     replaced, kept as its reference: (u estimates, boundary and flat
     counts)."""
-    cats = block_category_counts(block_counts, include_rest)
+    cats = block_category_counts(block_counts)
     u_grid = np.linspace(0.0, math.pi, GRID_SIZE + 2)[1:-1]
-    loglike = cats @ estimation._category_log_probs(u_grid, cal, include_rest).T
+    loglike = cats @ estimation._category_log_probs(u_grid, cal).T
     best = np.argmax(loglike, axis=1)
     flat = loglike.max(axis=1) - loglike.min(axis=1) < 1e-12
 
     def refine(row, lo, hi):
         def neg_loglike(u):
-            logp = estimation._category_log_probs(np.array([u]), cal, include_rest)[0]
+            logp = estimation._category_log_probs(np.array([u]), cal)[0]
             return -float(np.dot(row, logp))
         return float(minimize_scalar(neg_loglike, bounds=(lo, hi), method="bounded",
                                      options={"xatol": 1e-12}).x)
@@ -404,14 +392,14 @@ def brent_estimate_blocks(block_counts, cal, include_rest=False):
     return u_hat, n_boundary, n_flat
 
 
-def grid_estimate_blocks(block_counts, cal, include_rest=False):
+def grid_estimate_blocks(block_counts, cal):
     """The grid-plus-Newton solve that the grid-free one replaced, kept as
     its reference: each block's best point of a 4096-point u grid, polished
     by the safeguarded Newton loop within the grid cells either side.
     Returns (u estimates, boundary and flat counts)."""
-    cats = block_category_counts(block_counts, include_rest)
+    cats = block_category_counts(block_counts)
     nodes = np.linspace(0.0, math.pi, GRID_SIZE + 2)  # the grid is nodes[1:-1]
-    loglike = cats @ estimation._category_log_probs(nodes[1:-1], cal, include_rest).T
+    loglike = cats @ estimation._category_log_probs(nodes[1:-1], cal).T
     best = np.argmax(loglike, axis=1)
     flat = loglike.max(axis=1) - loglike.min(axis=1) < 1e-12
     at_lo = best == 0
@@ -422,7 +410,7 @@ def grid_estimate_blocks(block_counts, cal, include_rest=False):
     active = np.flatnonzero(~flat)
     for _ in range(estimation._MAX_STEPS):
         x = u_hat[active]
-        g, h = estimation._loglike_slopes(cats[active], cal, include_rest, x)
+        g, h = estimation._loglike_slopes(cats[active], cal, x)
         lo[active] = b_lo = np.where(g > 0, x, lo[active])
         hi[active] = b_hi = np.where(g > 0, hi[active], x)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
@@ -437,17 +425,17 @@ def grid_estimate_blocks(block_counts, cal, include_rest=False):
     return u_hat, int(boundary.sum()), int(flat.sum())
 
 
-def converged_estimate_blocks(block_counts, cal, include_rest=False):
+def converged_estimate_blocks(block_counts, cal):
     """The grid-free solve with every row iterated to _STEP_TOL, kept as the
     reference for stopping rows whose bracket is settled by the boundary
     rule.  Returns (u estimates, boundary and flat counts)."""
-    cats = block_category_counts(block_counts, include_rest)
+    cats = block_category_counts(block_counts)
     phi0 = cal.phase_offset
     turn = -phi0 % math.pi
     left, right = (0.0, turn) if turn >= math.pi / 2.0 else (turn, math.pi)
     a = np.array(cal.offsets)
     b = a * np.array(FRINGE_SIGNS) * cal.visibility_hat
-    fracs = cats[:, :4] / np.maximum(cats[:, :4].sum(axis=1, keepdims=True), 1)
+    fracs = cats / np.maximum(cats.sum(axis=1, keepdims=True), 1)
     c = (fracs * a.sum() - a) @ b / max(b @ b, np.finfo(float).tiny)
     start = np.arccos(np.clip(c, -1.0, 1.0)) - phi0
     u_hat = np.where((left < start) & (start < right), start, (left + right) / 2.0)
@@ -455,7 +443,7 @@ def converged_estimate_blocks(block_counts, cal, include_rest=False):
     active = np.arange(len(cats))
     for _ in range(estimation._MAX_STEPS):
         x = u_hat[active]
-        g, h = estimation._loglike_slopes(cats[active], cal, include_rest, x)
+        g, h = estimation._loglike_slopes(cats[active], cal, x)
         lo[active] = b_lo = np.where(g > 0, x, lo[active])
         hi[active] = b_hi = np.where(g > 0, hi[active], x)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
@@ -464,8 +452,7 @@ def converged_estimate_blocks(block_counts, cal, include_rest=False):
         active = active[abs(u_new - x) > estimation._STEP_TOL]
         if not active.size:
             break
-    logp = estimation._category_log_probs(np.append(u_hat, [left, right]), cal,
-                                          include_rest)
+    logp = estimation._category_log_probs(np.append(u_hat, [left, right]), cal)
     peak = (cats * logp[:-2]).sum(axis=1)
     flat = peak - (cats[:, None, :] * logp[-2:]).sum(axis=2).min(axis=1) < 1e-12
     u_hat = np.minimum(u_hat, (-2.0 * phi0 - u_hat) % (2.0 * math.pi))
@@ -476,16 +463,13 @@ def converged_estimate_blocks(block_counts, cal, include_rest=False):
     return u_hat, int(boundary.sum()), int(flat.sum())
 
 
-def block_category_counts(block_counts, include_rest):
+def block_category_counts(block_counts):
     slots = [INFORMATIVE_PATTERNS.index(p) for p in COINCIDENCE_PATTERNS]
-    coinc = block_counts[:, slots]
-    if not include_rest:
-        return coinc
-    return np.column_stack([coinc, block_counts.sum(axis=1) - coinc.sum(axis=1)])
+    return block_counts[:, slots]
 
 
-def loglike(cats, cal, include_rest, u):
-    return cats @ estimation._category_log_probs(np.atleast_1d(u), cal, include_rest).T
+def loglike(cats, cal, u):
+    return cats @ estimation._category_log_probs(np.atleast_1d(u), cal).T
 
 
 def degenerate_counts(caught):
@@ -519,46 +503,35 @@ class TestBatchedPolish:
                                   rng=rng).block_counts
 
     @pytest.mark.parametrize("cal_name", ["fit", "shifted"])
-    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("u", [0.6, 1.3, 2.0, 2.7])
     def test_matches_brent_reference_and_is_stationary(self, calibrations, cal_name,
                                                        include_rest, u):
         cal = calibrations[cal_name]
         block_counts = self.blocks(u)
-        got = 3.0 * estimate_blocks(block_counts, cal, include_rest=include_rest)
-        want, n_boundary, n_flat = brent_estimate_blocks(block_counts, cal,
-                                                         include_rest)
+        got = 3.0 * estimate_blocks(block_counts, cal)
+        want, n_boundary, n_flat = brent_estimate_blocks(block_counts, cal)
         assert (n_boundary, n_flat) == (0, 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
-        cats = block_category_counts(block_counts, include_rest)
-        g, h = estimation._loglike_slopes(cats, cal, include_rest, got)
+        cats = block_category_counts(block_counts)
+        g, h = estimation._loglike_slopes(cats, cal, got)
         assert np.all(h < 0)
         assert np.max(np.abs(g / h)) <= 1e-12
 
-    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("include_rest", [False])
     def test_slopes_match_finite_differences(self, calibrations, include_rest):
         cal = calibrations["shifted"]
-        cats = block_category_counts(self.blocks(1.3), include_rest)
+        cats = block_category_counts(self.blocks(1.3))
         u = np.linspace(0.3, 2.9, len(cats))
-        g, h = estimation._loglike_slopes(cats, cal, include_rest, u)
+        g, h = estimation._loglike_slopes(cats, cal, u)
         for i in range(len(cats)):
-            at = lambda x: loglike(cats[i], cal, include_rest, x)[0]
+            at = lambda x: loglike(cats[i], cal, x)[0]
             d = 1e-5
             assert g[i] == pytest.approx((at(u[i] + d) - at(u[i] - d)) / (2 * d),
                                          rel=1e-6)
             d = 1e-4
             assert h[i] == pytest.approx(
                 (at(u[i] + d) - 2 * at(u[i]) + at(u[i] - d)) / d**2, rel=1e-5)
-
-    def test_clipped_rest_term_adds_nothing(self):
-        # equal offsets make R = 1 at every u, so the rest probability is
-        # clipped to 1e-12 and the rest events carry no phase information
-        cal = FringeFit.ideal(visibility=0.95)
-        block_counts = self.blocks(1.3)
-        assert np.all(block_category_counts(block_counts, True)[:, 4] > 0)
-        np.testing.assert_allclose(
-            estimate_blocks(block_counts, cal, include_rest=True),
-            estimate_blocks(block_counts, cal), rtol=0, atol=1e-12)
 
     def test_mixed_batch_keeps_degenerate_semantics(self):
         cal = FringeFit.ideal()
@@ -620,11 +593,11 @@ def precision_scans():
     return scans
 
 
-def estimate_with_counts(block_counts, cal, include_rest=False):
+def estimate_with_counts(block_counts, cal):
     """(u estimates, boundary and flat counts) from estimate_blocks."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        u = 3.0 * estimate_blocks(block_counts, cal, include_rest=include_rest)
+        u = 3.0 * estimate_blocks(block_counts, cal)
     return (u, *degenerate_counts(caught))
 
 
@@ -632,18 +605,18 @@ class TestGridFree:
     """The grid-free solve against the grid-plus-Newton reference, and the
     piece, mirror-tie and degenerate rules it states for phi0 != 0."""
 
-    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("preset", PRESETS)
     def test_matches_grid_reference_on_precision_scans(self, precision_scans, preset,
                                                        include_rest):
         cal, runs = precision_scans[preset]
         for block_counts in runs:
-            got, *got_counts = estimate_with_counts(block_counts, cal, include_rest)
-            want, *want_counts = grid_estimate_blocks(block_counts, cal, include_rest)
+            got, *got_counts = estimate_with_counts(block_counts, cal)
+            want, *want_counts = grid_estimate_blocks(block_counts, cal)
             assert np.max(np.abs(got - want)) <= 1e-12
             assert got_counts == want_counts
 
-    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("u", [0.0, math.pi])
     def test_matches_grid_reference_at_fringe_extrema(self, precision_scans, u,
                                                       include_rest):
@@ -653,13 +626,13 @@ class TestGridFree:
         block_counts = sample_blocked_run(
             TestBatchedPolish.SOURCE, TestBatchedPolish.EFF, u, k_bar=6200, s=400,
             rng=rng).block_counts
-        got, *got_counts = estimate_with_counts(block_counts, cal, include_rest)
-        want, *want_counts = grid_estimate_blocks(block_counts, cal, include_rest)
+        got, *got_counts = estimate_with_counts(block_counts, cal)
+        want, *want_counts = grid_estimate_blocks(block_counts, cal)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert got_counts == want_counts
         assert 100 < got_counts[0] < 300
 
-    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("u", [0.0, math.pi])
     def test_edge_rows_stop_early_with_identical_results(self, precision_scans,
                                                          monkeypatch, u, include_rest):
@@ -680,9 +653,9 @@ class TestGridFree:
         monkeypatch.setattr(estimation, "_loglike_slopes", counting_slopes)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = estimate_blocks(block_counts, cal, include_rest=include_rest)
+            got = estimate_blocks(block_counts, cal)
         got_rows, rows[:] = sum(rows), []
-        want, *want_counts = converged_estimate_blocks(block_counts, cal, include_rest)
+        want, *want_counts = converged_estimate_blocks(block_counts, cal)
         np.testing.assert_array_equal(got, want / 3.0)
         assert list(degenerate_counts(caught)) == want_counts
         assert len(caught) == 1 and 100 < want_counts[0] < 300
@@ -698,10 +671,10 @@ class TestGridFree:
                                ).block_counts
             for i, u in enumerate((0.1, 1.6, 3.0))])
         got = estimate_with_counts(block_counts, cal)[0]
-        cats = block_category_counts(block_counts, False)
+        cats = block_category_counts(block_counts)
         dense = np.linspace(0.0, math.pi, 50_001)
-        dense_loglike = loglike(cats, cal, False, dense)
-        at_got = np.array([loglike(row, cal, False, u)[0] for row, u in zip(cats, got)])
+        dense_loglike = loglike(cats, cal, dense)
+        at_got = np.array([loglike(row, cal, u)[0] for row, u in zip(cats, got)])
         # no point of the dense grid beats an estimate
         assert np.all(at_got >= dense_loglike.max(axis=1) - 1e-12 * np.abs(at_got))
         # the dense argmax is the estimate or its mirror, which ties in L; on
@@ -728,9 +701,9 @@ class TestGridFree:
         tied = mirror <= math.pi
         assert tied.sum() > 100
         assert np.all(got[tied] < mirror[tied])
-        cats = block_category_counts(runs[-1], False)[tied]
-        at_got = loglike(cats, shifted, False, got[tied]).diagonal()
-        at_mirror = loglike(cats, shifted, False, mirror[tied]).diagonal()
+        cats = block_category_counts(runs[-1])[tied]
+        at_got = loglike(cats, shifted, got[tied]).diagonal()
+        at_mirror = loglike(cats, shifted, mirror[tied]).diagonal()
         np.testing.assert_allclose(at_mirror, at_got, rtol=1e-12, atol=0)
 
     def test_one_call_peak_memory(self, precision_scans):
@@ -744,15 +717,14 @@ class TestGridFree:
         assert len(runs[6]) == 1595
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("include_rest", [False, True])
+    @pytest.mark.parametrize("include_rest", [False])
     def test_zero_visibility_is_flat_everywhere(self, precision_scans, include_rest):
         # the moment start divides by the fitted visibility
         block_counts = precision_scans["paper-240m"][1][6]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             warnings.simplefilter("error", RuntimeWarning)
-            got = estimate_blocks(block_counts, FringeFit.ideal(visibility=0.0),
-                                  include_rest=include_rest)
+            got = estimate_blocks(block_counts, FringeFit.ideal(visibility=0.0))
         np.testing.assert_array_equal(got, math.pi / 2.0 / 3.0)
         assert len(caught) == 1
         assert degenerate_counts(caught) == (0, len(block_counts))
@@ -801,19 +773,6 @@ class TestBlockStats:
             block_stats([0.1])
         with pytest.raises(DomainError):
             block_stats([])
-
-    def test_json_fields(self, tmp_path):
-        stats = block_stats([0.1, 0.2, 0.3], k_bar=50)
-        path = tmp_path / "stats.json"
-        stats.to_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["s"] == 3
-        assert doc["k_bar"] == 50
-        assert doc["delta_hat"] == stats.delta_hat
-        assert doc["delta_err"] == stats.delta_err
-        assert doc["estimates"] == list(stats.estimates)
-        compact = json.loads(stats.to_json(include_estimates=False))
-        assert "estimates" not in compact
 
 
 class TestFisherFromPrecision:

@@ -20,7 +20,6 @@ from entsense.events import (
     classify,
     coincidence_fractions,
     estimate_efficiencies,
-    read_tally_csv,
     write_tally_csv,
 )
 from entsense.model import (
@@ -92,15 +91,6 @@ class TestTaxonomy:
 
 
 class TestTally:
-    def test_streaming_equals_batch(self):
-        rng = np.random.default_rng(2)
-        patterns = rng.integers(0, 16, size=5000)
-        batch = Tally.from_patterns(patterns, setting_index=3)
-        stream = Tally.zero(setting_index=3)
-        for p in patterns:
-            stream.add_pattern(int(p))
-        assert stream == batch
-
     def test_total_counts_all_pulses(self):
         t = Tally.from_patterns([0, 0, 5, 9, 15, 0])
         assert t.total == 6
@@ -128,11 +118,11 @@ class TestTally:
         a, b, c = parts
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
-        assert a + Tally.zero(setting_index=1) == a
+        assert a + Tally(setting_index=1) == a
 
     def test_merge_requires_matching_setting(self):
         with pytest.raises(ConfigurationError):
-            Tally.zero(0).merge(Tally.zero(1))
+            Tally().merge(Tally(setting_index=1))
 
     def test_merge_overflow_guard(self):
         big = np.zeros(16, dtype=np.int64)
@@ -236,8 +226,11 @@ class TestTallyCsv:
         ]
         path = tmp_path / "tally.csv"
         write_tally_csv(tallies, path)
-        back = read_tally_csv(path)
-        assert back == tallies
+        back = {}
+        for line in path.read_text().splitlines()[1:]:
+            setting, token, count = line.split(",")
+            back.setdefault(int(setting), {})[token] = int(count)
+        assert [Tally.from_counts(back[s], s) for s in sorted(back)] == tallies
 
     def test_row_shape_and_spelling(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -252,26 +245,3 @@ class TestTallyCsv:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 17
         assert lines[1 + 5] == "4,A1B1,1"
-
-    def test_split_rows_accumulate(self, tmp_path):
-        path = tmp_path / "split.csv"
-        path.write_text(
-            "setting_index,event_type,count\n0,A1B1,3\n0,A1B1,4\n0,NoClick,10\n"
-        )
-        (t,) = read_tally_csv(path)
-        assert t[EventType.A1B1] == 7
-        assert t.total == 17
-
-    def test_header_and_row_validation(self, tmp_path):
-        bad_header = tmp_path / "a.csv"
-        bad_header.write_text("setting,kind,count\n")
-        with pytest.raises(ConfigurationError):
-            read_tally_csv(bad_header)
-        bad_type = tmp_path / "b.csv"
-        bad_type.write_text("setting_index,event_type,count\n0,B2A1,3\n")
-        with pytest.raises(DomainError):
-            read_tally_csv(bad_type)
-        bad_count = tmp_path / "c.csv"
-        bad_count.write_text("setting_index,event_type,count\n0,A1,-3\n")
-        with pytest.raises(ConfigurationError):
-            read_tally_csv(bad_count)

@@ -295,8 +295,6 @@ class TestPatternDistribution:
         dist = pattern_distribution(src, eff, 1.0)
         informative = sum(dist[p] for p in INFORMATIVE_PATTERNS)
         assert dist.informative_probability() == pytest.approx(informative)
-        a1 = sum(dist[p] for p in range(N_PATTERNS) if p & 1)
-        assert dist.channel_click_probability("A1") == pytest.approx(a1)
         np.testing.assert_allclose(
             dist.coincidence_quartet(), [dist[p] for p in COINCIDENCE_PATTERNS]
         )

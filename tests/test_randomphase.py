@@ -154,21 +154,9 @@ class TestMeasurePhasePoint:
         assert m.extremum
         assert isinstance(m, PhaseMeasurement)
 
-    def test_pulse_level_method_smoke(self):
-        source = SourceParams(mu=0.05, visibility=0.95)
-        eff = EfficiencyBudget.uniform(0.8)
-        cal = fitted_calibration(source, eff)
-        m = measure_phase_point(source, eff, cal, 1.4, 60, 5, seed=8,
-                                method="pulses")
-        assert m.stats.s == 5
-        assert math.isfinite(m.stats.delta_hat)
-
     def test_method_and_calibration_validation(self):
         source = SourceParams(mu=1e-3, visibility=1.0)
         eff = EfficiencyBudget.uniform(1.0)
-        with pytest.raises(ConfigurationError):
-            measure_phase_point(source, eff, FringeFit.ideal(), 1.0, 10, 3,
-                                seed=1, method="magic")
         with pytest.raises(ConfigurationError):
             measure_phase_point(source, eff, None, 1.0, 10, 3, seed=1)
 

@@ -31,14 +31,12 @@ from entsense.simulator import (
     LANE_BITS,
     LANE_PULSES,
     ExperimentConfig,
-    ExperimentResult,
     cut_blocks,
     read_event_log,
     run_experiment,
     sample_blocked_run,
     sample_blocked_run_pulse_level,
     sample_patterns,
-    sample_pulse,
     sample_tally,
     stream_generator,
 )
@@ -85,9 +83,8 @@ class TestSamplePulse:
     def test_mu_zero_is_always_empty(self):
         src = SourceParams(mu=0.0, visibility=1.0, n_max=1)
         rng = stream_generator(1, LANE_PULSES)
-        for _ in range(50):
-            pattern, pairs = sample_pulse(src, EFF_240M, 0.3, rng)
-            assert pattern == 0 and pairs == 0
+        patterns, pairs = sample_patterns(src, EFF_240M, 0.3, rng, 50)
+        assert not patterns.any() and not pairs.any()
 
     def test_empty_fraction_tracks_poisson_weight(self):
         src = SourceParams(mu=0.0025, visibility=1.0, n_max=2)
@@ -616,10 +613,3 @@ class TestCutBlocks:
     def test_short_stream_rejected(self):
         with pytest.raises(EmptyStatisticsError):
             cut_blocks(np.array([5, 0, 9, 15]), 2, 2)
-
-
-class TestResultContainer:
-    def test_iterates_over_tallies(self):
-        t = Tally.zero(0)
-        result = ExperimentResult([t], [0], [0])
-        assert list(result) == [t]
