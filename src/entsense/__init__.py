@@ -60,6 +60,7 @@ from .simulator import (
     sample_blocked_run,
     sample_tally,
     stream_generator,
+    tally_pulses,
 )
 from .estimation import (
     BlockStats,
@@ -169,6 +170,7 @@ __all__ = [
     "sample_tally",
     "snl",
     "stream_generator",
+    "tally_pulses",
     "threshold_efficiency",
     "write_tally_csv",
     "write_trials_csv",

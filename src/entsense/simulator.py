@@ -15,10 +15,16 @@ every (setting, chunk) item of the run to one pool, with at most
 
 Two sampling paths are exposed:
 
-- the pulse path (`run_experiment`, `sample_patterns`): every pulse is
-  drawn explicitly - pair number, per-pair routing, per-photon survival -
-  and carries the emitted-pair truth side channel used by the resource
-  audit;
+- the pulse path (`run_experiment`, `sample_patterns`, `tally_pulses`):
+  every pulse is drawn explicitly - pair number, per-pair routing,
+  per-photon survival - and carries the emitted-pair truth side channel
+  used by the resource audit.  The pair-number, route and click draws
+  are fixed by the determinism contract; the pair numbers and routes are
+  computed on the emitting pulses only, by comparing the draws with the
+  cumulative weights, which equals searchsorted plus the clip to the last
+  bin.  `tally_pulses` reduces a chunk to its 16 counts and truth total
+  without per-pulse arrays; `sample_patterns` scatters the same draws
+  into per-pulse arrays for the event log;
 - distributional shortcuts (`sample_tally`, `sample_blocked_run`): the
   per-pulse outcome is an iid categorical over the 16 patterns, so a run
   that only needs counts can be drawn as a multinomial, and a blocked run
@@ -64,6 +70,7 @@ __all__ = [
     "BlockedRunSample",
     "stream_generator",
     "sample_patterns",
+    "tally_pulses",
     "run_experiment",
     "sample_tally",
     "sample_blocked_run",
@@ -79,7 +86,7 @@ LANE_BLOCKS = 2  # blocked-run shortcut
 LANE_BITS = 3  # random-bit source (phase QRNG stand-in)
 
 _DEFAULT_CHUNK = 1 << 20
-_LOG_SLICE = 1 << 16  # rows formatted at once; bounds the writer's temporaries
+_LOG_SLICE = 1 << 13  # rows formatted at once; sizes the writer's buffers
 _LOG_LINES = 1 << 14  # lines parsed at once; bounds the reader's line strings
 
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
@@ -181,38 +188,79 @@ def _alice_bob_index(routes):
     return routes >> 1, routes & 1
 
 
-def sample_patterns(source, eff, u, rng, n, routing="sensing"):
-    """Vectorized pulse path: n pulses on a caller-owned generator.
+def _edges_passed(edges, r):
+    """How many of the ascending edges each r is at or above, as int16.
 
-    Returns (patterns uint8[n], truth_pairs int16[n]).  The draw sequence
-    per chunk is fixed: pair numbers, then routes, then Alice survivals,
-    then Bob survivals; changing it would change every seeded result, so
-    it is part of the determinism contract.
+    Equals searchsorted(edges, r, side="right"); a caller that leaves the
+    last edge of a cumulative distribution out gets the clip to its last
+    bin, which guards roundoff in the final cumsum, for free.
+    """
+    passed = np.zeros(len(r), dtype=np.int16)
+    for edge in edges:
+        passed += r >= edge
+    return passed
+
+
+def _draw_emitting(source, eff, u, rng, n, routing):
+    """One chunk of the pulse path, kept only where a pair was emitted.
+
+    Returns (idx int64[k], patterns uint8[k], m int16[k]): the indices of
+    the k pulses with m >= 1 pairs, in order, with their click patterns
+    and pair numbers; every other pulse has pattern 0 and m = 0.  The
+    draw sequence per chunk is fixed: pair numbers, then routes, then
+    Alice survivals, then Bob survivals; changing it would change every
+    seeded result, so it is part of the determinism contract.
     """
     if n < 0:
         raise ConfigurationError(f"pulse count must be >= 0, got {n}")
     cum_pairs = np.cumsum(source.pair_weights())
-    p_route = route_probs(u, source.visibility, routing)
-    cum_route = np.cumsum(p_route)
+    cum_route = np.cumsum(route_probs(u, source.visibility, routing))
     eta = eff.as_array()
 
-    m = np.searchsorted(cum_pairs, rng.random(n), side="right")
-    np.clip(m, 0, source.n_max, out=m)  # guards roundoff in the last cumsum bin
-    m = m.astype(np.int16)
+    r = rng.random(n)
+    idx = np.flatnonzero(r >= cum_pairs[0])
+    r = r[idx]
+    m = _edges_passed(cum_pairs[1:source.n_max], r)
+    m += 1  # cum_pairs[0], the edge every emitting pulse passed
     total = int(m.sum())
-    routes = np.searchsorted(cum_route, rng.random(total), side="right")
-    np.clip(routes, 0, 3, out=routes)
+    routes = _edges_passed(cum_route[:3], rng.random(total))
     a_idx, b_idx = _alice_bob_index(routes)
     a_click = rng.random(total) < eta[a_idx]
     b_click = rng.random(total) < eta[2 + b_idx]
     masks = (a_click << a_idx | (b_click << (2 + b_idx))).astype(np.uint8)
 
+    starts = np.cumsum(m, dtype=np.int64) - m  # each pulse's first photon
+    return idx, np.bitwise_or.reduceat(masks, starts), m
+
+
+def sample_patterns(source, eff, u, rng, n, routing="sensing"):
+    """Vectorized pulse path: n pulses on a caller-owned generator.
+
+    Returns (patterns uint8[n], truth_pairs int16[n]).  The pair-number,
+    route and click draws are unchanged (see _draw_emitting); the pair
+    numbers and routes are computed on the emitting pulses only, by
+    comparing the draws with the cumulative weights, which equals
+    searchsorted(side="right") followed by the clip to the last bin.
+    """
+    idx, emitting, m_emitting = _draw_emitting(source, eff, u, rng, n, routing)
     patterns = np.zeros(n, dtype=np.uint8)
-    emitting = m > 0
-    if total:
-        starts = np.concatenate(([0], np.cumsum(m, dtype=np.int64)))[:-1]
-        patterns[emitting] = np.bitwise_or.reduceat(masks, starts[emitting])
+    patterns[idx] = emitting
+    m = np.zeros(n, dtype=np.int16)
+    m[idx] = m_emitting
     return patterns, m
+
+
+def tally_pulses(source, eff, u, rng, n, routing="sensing"):
+    """The pulse path reduced to counts: n pulses, no per-pulse arrays.
+
+    Returns (counts int64[16], truth_pairs int), equal to the bincount of
+    sample_patterns' patterns and the sum of its pair numbers for the same
+    generator state, and leaves the generator where sample_patterns does.
+    """
+    idx, patterns, m = _draw_emitting(source, eff, u, rng, n, routing)
+    counts = np.bincount(patterns, minlength=N_PATTERNS)
+    counts[0] += n - len(idx)
+    return counts, int(m.sum(dtype=np.int64))
 
 
 def _interference_phase(setting):
@@ -231,7 +279,8 @@ def run_experiment(config, *, workers=None, event_log=None):
     setting boundaries.  Every setting is validated before the log is
     opened, so a bad setting leaves no partial log.  When event_log is a
     path or writable text file, every pulse is appended as
-    `pulse_index,setting_index,pattern,truth_pairs`.
+    `pulse_index,setting_index,pattern,truth_pairs`; without a log each
+    chunk is reduced by tally_pulses, with the same draws.
     """
     phases = [_interference_phase(setting) for setting in config.settings]
     pulses, chunk_size = config.pulses_per_setting, config.chunk_size
@@ -242,10 +291,12 @@ def run_experiment(config, *, workers=None, event_log=None):
     def draw(item):
         s_idx, c_idx, lo, size = item
         rng = stream_generator(config.seed, LANE_PULSES, s_idx, c_idx)
-        patterns, m = sample_patterns(
-            config.source, config.eff, phases[s_idx], rng, size, config.routing
-        )
-        return s_idx, lo, patterns, m
+        args = (config.source, config.eff, phases[s_idx], rng, size, config.routing)
+        if event_log is None:
+            return s_idx, lo, *tally_pulses(*args), None
+        patterns, m = sample_patterns(*args)
+        return (s_idx, lo, np.bincount(patterns, minlength=N_PATTERNS),
+                int(m.sum(dtype=np.int64)), (patterns, m))
 
     counts = np.zeros((len(phases), N_PATTERNS), dtype=np.int64)
     truth = [0] * len(phases)
@@ -259,11 +310,11 @@ def run_experiment(config, *, workers=None, event_log=None):
         if log_fh is not None:
             log_fh.write(EVENT_LOG_HEADER + "\n")
         drawn = _in_order(pool, draw, work, 2 * workers) if pool else map(draw, work)
-        for s_idx, lo, patterns, m in drawn:
-            counts[s_idx] += np.bincount(patterns, minlength=N_PATTERNS)
-            truth[s_idx] += int(m.sum(dtype=np.int64))
-            if log_fh is not None:
-                _write_log_chunk(log_fh, lo, s_idx, patterns, m)
+        for s_idx, lo, chunk_counts, chunk_truth, rows in drawn:
+            counts[s_idx] += chunk_counts
+            truth[s_idx] += chunk_truth
+            if rows is not None:
+                _write_log_chunk(log_fh, lo, s_idx, *rows)
     tallies = [Tally(row, setting_index=s_idx) for s_idx, row in enumerate(counts)]
     return ExperimentResult(tallies, truth, [pulses] * len(phases))
 
@@ -288,38 +339,59 @@ def _in_order(pool, fn, items, depth):
 
 
 def _write_log_chunk(fh, lo, setting_index, patterns, m):
-    for start in range(0, len(patterns), _LOG_SLICE):
-        stop = min(start + _LOG_SLICE, len(patterns))
+    n = len(patterns)
+    table = _CsvRows((max(lo + n - 1, 0), setting_index, int(patterns.max(initial=0)),
+                      int(m.max(initial=0))), min(n, _LOG_SLICE))
+    for start in range(0, n, _LOG_SLICE):
+        stop = min(start + _LOG_SLICE, n)
         columns = (np.arange(lo + start, lo + stop),
                    np.full(stop - start, setting_index),
                    patterns[start:stop], m[start:stop])
-        fh.write(_csv_rows(columns).decode("ascii"))
+        fh.write(table.format(columns))
 
 
-def _csv_rows(columns):
-    """Equal-length non-negative integer columns as ASCII CSV rows.
+class _CsvRows:
+    """Formats slices of non-negative integer columns as ASCII CSV rows.
 
-    Gives the bytes of np.savetxt(fmt="%d", delimiter=","): each row is its
+    Gives the text of np.savetxt(fmt="%d", delimiter=","): each row is its
     values in decimal without leading zeros, joined by "," and ended by
     "\n".  Each column fills a field of right-aligned digits, as wide as
-    its largest value, in one (characters, rows) uint8 matrix; reading
-    the matrix row by row past the masked leading zeros gives the text.
+    the largest value it will hold (maxima), in one (rows, characters)
+    uint8 matrix; the matrix read row by row past the masked leading
+    zeros is the text.  The matrix, its mask, the digit arithmetic and
+    the text live in buffers made once for slices of up to `rows` rows,
+    so formatting one slice after another allocates only the str.
     """
-    widths = [len(str(int(col.max()))) for col in columns]
-    cells = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
-    keep = np.ones(cells.shape, dtype=bool)
-    end = 0
-    for col, width in zip(columns, widths):
-        end += width
-        for j in range(width):  # the j-th digit from the right
-            if j:  # a leading zero: it and every digit left of it are 0
-                np.greater(col, 0, out=keep[end - 1 - j])
-            col, digit = np.divmod(col, 10)
-            np.add(digit, ord("0"), out=cells[end - 1 - j], casting="unsafe")
-        cells[end] = ord(",")
-        end += 1
-    cells[-1] = ord("\n")
-    return cells.T[keep.T].tobytes()
+
+    def __init__(self, maxima, rows):
+        self.widths = [len(str(value)) for value in maxima]
+        chars = sum(self.widths) + len(self.widths)
+        self.cells = np.empty((rows, chars), dtype=np.uint8)
+        self.keep = np.ones((rows, chars), dtype=bool)
+        self.quotient = np.empty(rows, dtype=np.int64)
+        self.digit = np.empty(rows, dtype=np.int64)
+        self.text = np.empty(rows * chars, dtype=np.uint8)
+        ends = np.cumsum(np.add(self.widths, 1))
+        self.cells[:, ends - 1] = ord(",")
+        self.cells[:, -1] = ord("\n")
+
+    def format(self, columns):
+        size = len(columns[0])
+        cells, keep = self.cells[:size], self.keep[:size]
+        quotient, digit = self.quotient[:size], self.digit[:size]
+        end = 0
+        for col, width in zip(columns, self.widths):
+            end += width
+            np.copyto(quotient, col)
+            for j in range(width):  # the j-th digit from the right
+                if j:  # a leading zero: it and every digit left of it are 0
+                    np.greater(quotient, 0, out=keep[:, end - 1 - j])
+                np.divmod(quotient, 10, out=(quotient, digit))
+                np.add(digit, ord("0"), out=cells[:, end - 1 - j], casting="unsafe")
+            end += 1
+        text = self.text[:np.count_nonzero(keep)]
+        np.compress(keep.ravel(), cells.ravel(), out=text)
+        return str(text.data, "ascii")
 
 
 def read_event_log(path_or_file):

@@ -25,6 +25,7 @@ from entsense.model import (
     PhaseSetting,
     SourceParams,
     pattern_distribution,
+    route_probs,
 )
 from entsense.simulator import (
     EVENT_LOG_HEADER,
@@ -39,6 +40,7 @@ from entsense.simulator import (
     sample_patterns,
     sample_tally,
     stream_generator,
+    tally_pulses,
 )
 
 SRC_240M = SourceParams(mu=0.056, visibility=0.9804, n_max=4)
@@ -136,6 +138,112 @@ class TestSamplePulse:
             assert p > 1e-3
 
 
+def reference_sample_patterns(source, eff, u, rng, n, routing="sensing"):
+    # the pulse path as first written: searchsorted plus clip over every
+    # pulse, kept as the reference the emitting-only kernel must equal
+    cum_pairs = np.cumsum(source.pair_weights())
+    cum_route = np.cumsum(route_probs(u, source.visibility, routing))
+    eta = eff.as_array()
+    m = np.searchsorted(cum_pairs, rng.random(n), side="right")
+    np.clip(m, 0, source.n_max, out=m)
+    m = m.astype(np.int16)
+    total = int(m.sum())
+    routes = np.searchsorted(cum_route, rng.random(total), side="right")
+    np.clip(routes, 0, 3, out=routes)
+    a_idx, b_idx = routes >> 1, routes & 1
+    a_click = rng.random(total) < eta[a_idx]
+    b_click = rng.random(total) < eta[2 + b_idx]
+    masks = (a_click << a_idx | (b_click << (2 + b_idx))).astype(np.uint8)
+    patterns = np.zeros(n, dtype=np.uint8)
+    emitting = m > 0
+    if total:
+        starts = np.concatenate(([0], np.cumsum(m, dtype=np.int64)))[:-1]
+        patterns[emitting] = np.bitwise_or.reduceat(masks, starts[emitting])
+    return patterns, m
+
+
+class CraftedRandom:
+    """Stands in for a Generator: its k-th random(size) call returns the
+    k-th array of draws, cycled to size."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def random(self, size):
+        return np.resize(next(self.draws), size)
+
+
+def edge_values(cum):
+    # each edge, the doubles either side of it, and 0 and 1 - 2^-53
+    edges = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                            [0.0, 1.0 - 2.0**-53]))
+    return np.clip(edges, 0.0, 1.0 - 2.0**-53)
+
+
+class TestEmittingKernel:
+    """The emitting-only pulse kernel against the searchsorted reference."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.0025, 0.1])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("routing", ["sensing", "calibration"])
+    def test_matches_reference_draws(self, mu, n, routing):
+        src = SourceParams(mu=mu, visibility=0.9804, n_max=4)
+        got_rng = stream_generator(17, LANE_PULSES, 2, n)
+        want_rng = stream_generator(17, LANE_PULSES, 2, n)
+        patterns, m = sample_patterns(src, EFF_240M, 1.1, got_rng, n, routing)
+        want_patterns, want_m = reference_sample_patterns(
+            src, EFF_240M, 1.1, want_rng, n, routing)
+        assert patterns.dtype == np.uint8 and m.dtype == np.int16
+        np.testing.assert_array_equal(patterns, want_patterns)
+        np.testing.assert_array_equal(m, want_m)
+        np.testing.assert_array_equal(got_rng.random(3), want_rng.random(3))
+
+    @pytest.mark.parametrize("mu, n_max, visibility, u", [
+        (0.1, 4, 1.0, 0.0),          # routes A1B1 and A2B2 have weight 0
+        (0.1, 4, 0.9804, 1.1),
+        (0.0025, 4, 1.0, math.pi),   # routes A1B2 and A2B1 have weight 0
+        (0.0025, 3, 0.1, 0.2),       # last pair and route cumsums 1 - 2^-53
+    ])
+    def test_draws_on_every_edge(self, mu, n_max, visibility, u):
+        # a draw at or above the last cumulative weight, which roundoff can
+        # put below 1, is clipped into the last bin
+        src = SourceParams(mu=mu, visibility=visibility, n_max=n_max)
+        cum_pairs = np.cumsum(src.pair_weights())
+        cum_route = np.cumsum(route_probs(u, visibility))
+        for cum, top in ((cum_pairs, n_max), (cum_route, 3)):
+            r = edge_values(cum)
+            want = np.minimum(np.searchsorted(cum, r, side="right"), top)
+            np.testing.assert_array_equal(simulator._edges_passed(cum[:top], r), want)
+        # the whole kernel on pair and route draws sitting on those edges;
+        # every photon clicks, so each pattern shows its pulse's routes
+        draws = (edge_values(cum_pairs), edge_values(cum_route), [0.0], [0.0])
+        n = len(draws[0])
+        got = sample_patterns(src, EFF_240M, u, CraftedRandom(*draws), n)
+        want = reference_sample_patterns(src, EFF_240M, u, CraftedRandom(*draws), n)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("mu", [0.0, 0.056, 0.1])
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    def test_tally_equals_bincount_of_patterns(self, mu, n):
+        src = SourceParams(mu=mu, visibility=0.9804, n_max=4)
+        tally_rng = stream_generator(23, LANE_PULSES, 1, n)
+        pulse_rng = stream_generator(23, LANE_PULSES, 1, n)
+        counts, truth = tally_pulses(src, EFF_240M, 0.4, tally_rng, n)
+        patterns, m = sample_patterns(src, EFF_240M, 0.4, pulse_rng, n)
+        assert counts.dtype == np.int64 and type(truth) is int
+        np.testing.assert_array_equal(counts,
+                                      np.bincount(patterns, minlength=N_PATTERNS))
+        assert truth == int(m.sum(dtype=np.int64))
+        np.testing.assert_array_equal(tally_rng.random(3), pulse_rng.random(3))
+
+    @pytest.mark.parametrize("draw", [sample_patterns, tally_pulses])
+    def test_negative_count_rejected(self, draw):
+        rng = stream_generator(1, LANE_PULSES)
+        with pytest.raises(ConfigurationError, match="pulse count must be >= 0"):
+            draw(SRC_240M, EFF_240M, 0.3, rng, -1)
+
+
 class TestRunExperiment:
     def make_config(self, **kw):
         defaults = dict(
@@ -197,6 +305,51 @@ class TestRunExperiment:
         serial_log = io.StringIO()
         assert run_experiment(cfg, event_log=serial_log).tallies == result.tallies
         assert serial_log.getvalue() == log.getvalue()
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_unlogged_run_equals_logged_run(self, workers):
+        # the unlogged path tallies chunks without per-pulse arrays; the
+        # short final chunk (100_001 = 3 * 2^15 + 1,697) included
+        cfg = self.make_config(pulses_per_setting=100_001, chunk_size=1 << 15)
+        unlogged = run_experiment(cfg, workers=workers)
+        logged = run_experiment(cfg, workers=workers, event_log=io.StringIO())
+        assert unlogged.tallies == logged.tallies
+        assert unlogged.truth_pairs == logged.truth_pairs
+        assert unlogged.pulses == logged.pulses == [100_001, 100_001]
+
+    def test_threaded_unlogged_run_bounds_chunks_in_flight(self, monkeypatch):
+        # behind a slow reduction, at most 2 * workers chunks may be
+        # tallied and not yet added in; the truth total is an int subclass
+        # whose reflected add is the reduction's last step for a chunk
+        workers = 4
+        lock = threading.Lock()
+        state = {"started": 0, "consumed": 0, "peak": 0}
+        real_tally = simulator.tally_pulses
+
+        class SlowTruth(int):
+            def __radd__(self, other):
+                time.sleep(0.005)
+                with lock:
+                    state["consumed"] += 1
+                return other + int(self)
+
+        def tally(*args):
+            with lock:
+                state["started"] += 1
+                in_flight = state["started"] - state["consumed"]
+                state["peak"] = max(state["peak"], in_flight)
+            counts, truth = real_tally(*args)
+            return counts, SlowTruth(truth)
+
+        cfg = self.make_config(pulses_per_setting=40 * 1024, chunk_size=1024)
+        monkeypatch.setattr(simulator, "tally_pulses", tally)
+        result = run_experiment(cfg, workers=workers)
+        monkeypatch.undo()
+        assert state["started"] == state["consumed"] == 2 * 40
+        assert state["peak"] <= 2 * workers
+        serial = run_experiment(cfg)
+        assert serial.tallies == result.tallies
+        assert serial.truth_pairs == result.truth_pairs
 
     def test_one_pool_per_run(self, monkeypatch):
         # a threaded run builds one pool for all its settings, a serial
