@@ -6,6 +6,7 @@ carry tracebacks; one test exercises the installed console script.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,16 @@ class TestArgumentHandling:
         out = subprocess.run(["entsense", "--version"], capture_output=True,
                              text=True, check=True)
         assert __version__ in out.stdout
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test extra only; the runtime import must not pull it in
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = ("import sys, entsense.cli; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
 
 class TestConfigErrors:
