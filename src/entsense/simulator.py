@@ -37,7 +37,7 @@ Two sampling paths are exposed:
 
 from __future__ import annotations
 
-import itertools
+import re
 import warnings
 from collections import deque
 from contextlib import nullcontext
@@ -87,7 +87,12 @@ LANE_BITS = 3  # random-bit source (phase QRNG stand-in)
 
 _DEFAULT_CHUNK = 1 << 20
 _LOG_SLICE = 1 << 13  # rows formatted at once; sizes the writer's buffers
-_LOG_LINES = 1 << 14  # lines parsed at once; bounds the reader's line strings
+_LOG_CHARS = 1 << 18  # characters read at once; bounds the reader's text block
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+_INT64_MAX = np.iinfo(np.int64).max
+# a line and its end, as iterating a file opened with newline="" splits them:
+# at "\n", "\r\n" or "\r" (str.splitlines also splits at "\x0c" and others)
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
 
@@ -399,18 +404,21 @@ def read_event_log(path_or_file):
 
     Accepts a path or a readable text file, a pipe included, holding a
     log written by run_experiment or any file with the same header and
-    integer rows.  The log is read once, _LOG_LINES lines at a time, into
-    running per-setting totals, so memory is bounded by one block of
-    lines plus the informative events.  Returns an ExperimentResult whose
-    tallies are ordered by setting index, with each setting's informative
-    click patterns (uint8, in log order) as its patterns, for callers
-    that cut blocks by arrival.  ConfigurationError names the line of a
-    row that is not four integers, the header being line 1, and the
-    setting and pulse_index of a pattern outside 0..15 or a negative
-    truth_pairs.  So does a setting whose pulse_index column, in log
-    order, is not 0, 1, ..., P-1: a log with pulses left out or repeated
-    would audit a post-selected record as complete.  Settings may
-    interleave.
+    integer rows.  The log is read once, in blocks of whole lines of
+    about _LOG_CHARS characters, into running per-setting totals, so
+    memory is bounded by one text block plus the informative events.
+    A block in the writer's canonical form (digits, commas and "\n",
+    four fields a line) is parsed at once by np.fromstring; any other
+    block is split into lines and parsed by np.loadtxt, which checks
+    every line.  Returns an ExperimentResult whose tallies are ordered
+    by setting index, with each setting's informative click patterns
+    (uint8, in log order) as its patterns, for callers that cut blocks
+    by arrival.  ConfigurationError names the line of a row that is not
+    four integers, the header being line 1, and the setting and
+    pulse_index of a pattern outside 0..15 or a negative truth_pairs.
+    So does a setting whose pulse_index column, in log order, is not 0,
+    1, ..., P-1: a log with pulses left out or repeated would audit a
+    post-selected record as complete.  Settings may interleave.
     """
     if not hasattr(path_or_file, "read"):
         with open(Path(path_or_file), newline="") as fh:
@@ -423,16 +431,24 @@ def read_event_log(path_or_file):
     counts, truth, informative = {}, {}, {}
     pulses = {}  # per setting: the pulses read, so the pulse_index expected next
     line = 1  # lines read
-    while lines := list(itertools.islice(path_or_file, _LOG_LINES)):
-        rows = _parse_log_rows(lines)
-        if rows is None:
-            number, bad = next((n, text.rstrip("\r\n"))
-                               for n, text in enumerate(lines, start=line + 1)
-                               if _parse_log_rows([text]) is None)
-            raise ConfigurationError(
-                f"event log: line {number} ({bad!r}) is not 4 comma-separated integers"
-            )
-        line += len(lines)
+    # a block of whole lines: _LOG_CHARS characters and the rest of the last line
+    while text := path_or_file.read(_LOG_CHARS) + path_or_file.readline():
+        rows = _parse_log_block(text)
+        if rows is None:  # not canonical: parse it line by line
+            lines = _LINE.findall(text)
+            rows = _parse_log_rows(lines)
+            if rows is None:
+                number, bad = next((n, row.rstrip("\r\n"))
+                                   for n, row in enumerate(lines, start=line + 1)
+                                   if _parse_log_rows([row]) is None)
+                raise ConfigurationError(
+                    f"event log: line {number} ({bad!r}) is not 4 comma-separated integers"
+                )
+            line += len(lines)
+        else:
+            line += len(rows)
+        if not len(rows):
+            continue
         patterns = rows[:, 2]
         out_of_range = (patterns < 0) | (patterns >= N_PATTERNS) | (rows[:, 3] < 0)
         if out_of_range.any():
@@ -441,9 +457,14 @@ def read_event_log(path_or_file):
                     else f"pattern {pattern}, outside 0..{N_PATTERNS - 1}")
             raise ConfigurationError(
                 f"event log: setting {s_idx}, pulse_index {index} has {what}")
-        for s_idx in np.unique(rows[:, 1]).tolist():
-            sel = np.flatnonzero(rows[:, 1] == s_idx)  # gathers by row number beat a mask
-            index = rows[sel, 0]
+        settings = rows[:, 1]
+        if (settings == settings[0]).all():  # the usual block: one setting
+            groups = [(int(settings[0]), rows)]
+        else:  # gathers by row number beat a mask
+            groups = ((s_idx, rows[np.flatnonzero(settings == s_idx)])
+                      for s_idx in np.unique(settings).tolist())
+        for s_idx, own in groups:
+            index = own[:, 0]
             done = pulses.get(s_idx, 0)
             gap = np.flatnonzero(index != np.arange(done, done + len(index)))
             if gap.size:
@@ -453,8 +474,8 @@ def read_event_log(path_or_file):
                     f"must run 0, 1, 2, ... in log order, none left out or repeated"
                 )
             pulses[s_idx] = done + len(index)
-            truth[s_idx] = truth.get(s_idx, 0) + int(rows[sel, 3].sum())
-            stream = patterns[sel]
+            truth[s_idx] = truth.get(s_idx, 0) + int(own[:, 3].sum())
+            stream = own[:, 2]
             counts[s_idx] = (counts.get(s_idx, 0)
                              + np.bincount(stream, minlength=N_PATTERNS))
             kept = stream[_SLOT_OF_PATTERN[stream] >= 0].astype(np.uint8)
@@ -465,6 +486,35 @@ def read_event_log(path_or_file):
     return ExperimentResult([Tally(counts[s], setting_index=s) for s in order],
                             [truth[s] for s in order], [pulses[s] for s in order],
                             [np.concatenate(informative[s]) for s in order])
+
+
+def _parse_log_block(text):
+    """Canonical event-log lines as an int64 array of 4 columns, or None.
+
+    A block is canonical when it holds ASCII digits, commas and "\n"
+    only, its commas and line ends run ",,,\n" line after line, and
+    np.fromstring reads one value per comma or line end from it, so no
+    digits follow the last line end.  np.fromstring raises on an empty
+    field, but it saturates an out-of-range field at the int64 maximum,
+    where np.loadtxt raises, so a block holding that value is not
+    canonical either.  None leaves the block to _parse_log_rows, whose
+    errors name the line.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # every byte but a digit: uint8 wraps the bytes below "0" past 9
+    separators = buf[np.flatnonzero(buf - ord("0") > 9)]
+    if separators.size % 4 or not (separators.reshape(-1, 4) == _ROW_SEPARATORS).all():
+        return None
+    try:
+        values = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    if values.size != separators.size or values.max() == _INT64_MAX:
+        return None
+    return values.reshape(-1, 4)
 
 
 def _parse_log_rows(lines):

@@ -11,10 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from entsense import __version__
+from entsense import __version__, simulator
 from entsense.cli import analytic_calibration, main
 from entsense.config import PRESET_NAMES, load_preset, parse_config
 from entsense.errors import ConfigurationError
@@ -573,23 +572,27 @@ class TestAuditCommand:
         import entsense.cli
 
         cfg, log = make_log(tmp_path)
-        reads, loadtxt_callers = [], []
-        real_read, real_loadtxt = entsense.cli.read_event_log, np.loadtxt
+        reads, parse_callers = [], []
+        real_read = entsense.cli.read_event_log
 
         def counting_read(path):
             reads.append(path)
             return real_read(path)
 
-        def recording_loadtxt(*args, **kwargs):
-            loadtxt_callers.append(sys._getframe(1).f_globals["__name__"])
-            return real_loadtxt(*args, **kwargs)
+        def recording(parse):
+            def record(*args):
+                parse_callers.append(sys._getframe(1).f_globals["__name__"])
+                return parse(*args)
+            return record
 
         monkeypatch.setattr(entsense.cli, "read_event_log", counting_read)
-        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        # the reader's two parse entry points: canonical blocks, and lines
+        for name in ("_parse_log_block", "_parse_log_rows"):
+            monkeypatch.setattr(simulator, name, recording(getattr(simulator, name)))
         assert main(["audit", "--config", cfg, "--log", str(log),
                      "--out", str(tmp_path / "audit")]) == 0
         assert len(reads) == 1
-        assert loadtxt_callers and "entsense.cli" not in loadtxt_callers
+        assert parse_callers and set(parse_callers) == {"entsense.simulator"}
 
     def test_degenerate_setting_reported_not_fatal(self, tmp_path):
         # six A1B1 events cut into three blocks of two: every block estimate

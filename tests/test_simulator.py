@@ -7,9 +7,11 @@ test_model) is the oracle for every sampled frequency here.
 import io
 import math
 import os
+import re
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -508,26 +510,29 @@ class TestRunExperiment:
 
     def test_pulse_index_gap_past_the_first_block(self, tmp_path):
         path = tmp_path / "gap.csv"
-        rows = [f"{i},0,5,1\n" for i in range(20_000)]
-        del rows[18_000]  # line 18,002 now holds pulse_index 18,001
+        rows = [f"{i},0,5,1\n" for i in range(40_000)]
+        del rows[30_000]  # line 30,002, some 349,000 characters in, holds 30,001
+        assert len("".join(rows[:30_000])) > simulator._LOG_CHARS
         path.write_text(EVENT_LOG_HEADER + "\n" + "".join(rows))
         with pytest.raises(ConfigurationError,
-                           match="setting 0 has pulse_index 18001 where 18000 is"):
+                           match="setting 0 has pulse_index 30001 where 30000 is"):
             read_event_log(path)
 
     def test_interleaved_settings_across_a_block_edge(self, tmp_path):
-        # 2 x 9,000 alternating rows put both settings on both sides of
-        # the edge after line 16,385
+        # 2 x 15,000 alternating rows, some 340,000 characters, put both
+        # settings on both sides of the first text block's edge
         rng = np.random.default_rng(3)
-        patterns = rng.integers(0, N_PATTERNS, (9_000, 2))
-        pairs = rng.integers(0, 5, (9_000, 2))
-        path = tmp_path / "interleaved.csv"
-        path.write_text(EVENT_LOG_HEADER + "\n" + "".join(
+        patterns = rng.integers(0, N_PATTERNS, (15_000, 2))
+        pairs = rng.integers(0, 5, (15_000, 2))
+        text = EVENT_LOG_HEADER + "\n" + "".join(
             f"{i},{s},{patterns[i, s]},{pairs[i, s]}\n"
-            for i in range(9_000) for s in (0, 1)))
+            for i in range(15_000) for s in (0, 1))
+        assert len(text) > simulator._LOG_CHARS + 20_000
+        path = tmp_path / "interleaved.csv"
+        path.write_text(text)
         back = read_event_log(path)
         informative = np.isin(patterns, INFORMATIVE_PATTERNS)
-        assert back.pulses == [9_000, 9_000]
+        assert back.pulses == [15_000, 15_000]
         assert back.truth_pairs == pairs.sum(axis=0).tolist()
         for s in (0, 1):
             want = np.bincount(patterns[:, s], minlength=N_PATTERNS)
@@ -535,12 +540,20 @@ class TestRunExperiment:
             assert back.patterns[s].dtype == np.uint8
             assert back.patterns[s].tolist() == patterns[informative[:, s], s].tolist()
 
-    @pytest.mark.parametrize("blank", [3, simulator._LOG_LINES + 2])
+    @pytest.mark.parametrize("blank", [3, 2 * simulator._LOG_CHARS])
     def test_blank_lines_at_a_block_edge(self, tmp_path, blank):
-        # rows fill lines 2 .. 16,384, the blank lines start on line
-        # 16,385, the first block's last, and the rows go on after them
-        before = simulator._LOG_LINES - 1
-        rows = [f"{i},0,5,1\n" for i in range(before + 10)]
+        # the rows fill the first _LOG_CHARS characters but for the last,
+        # where the blank lines start, and the rows go on after them; the
+        # longer run of blank lines fills a whole block
+        rows, size = [], 0
+        while size + len(row := f"{len(rows)},0,5,1\n") < simulator._LOG_CHARS:
+            rows.append(row)
+            size += len(row)
+        # widen the last row's truth_pairs by the characters still missing
+        before = len(rows)
+        rows[-1] = f"{before - 1},0,5,{10 ** (simulator._LOG_CHARS - 1 - size)}\n"
+        assert len("".join(rows)) == simulator._LOG_CHARS - 1
+        rows += [f"{i},0,5,1\n" for i in range(before, before + 10)]
         text = (EVENT_LOG_HEADER + "\n" + "".join(rows[:before]) + "\n" * blank
                 + "".join(rows[before:]))
         path = tmp_path / "blank.csv"
@@ -573,6 +586,157 @@ class TestRunExperiment:
         with pytest.raises(DomainError):
             run_experiment(cfg, event_log=path)
         assert not path.exists()
+
+
+def random_log_text(rng, pulses=600):
+    """A log of two settings whose lines mix the writer's canonical form
+    with forms only np.loadtxt reads.
+
+    Settings run in stretches and, now and then, alternate row by row.
+    Each stretch of about 40 lines either keeps the canonical form or
+    takes one other: leading zeros ("007"), "\r\n" or "\r" line ends, a
+    "+" sign or a space before a field, or a blank line.  The last line
+    may lack its line end.
+    """
+    setting = np.repeat(rng.integers(0, 2, pulses // 20), 20)
+    alternate = np.repeat(rng.random(pulses // 20) < 0.2, 20)
+    setting = np.where(alternate, np.arange(pulses) % 2, setting)
+    index = np.zeros(len(setting), dtype=np.int64)
+    for s_idx in (0, 1):
+        index[setting == s_idx] = np.arange(np.count_nonzero(setting == s_idx))
+    pattern = rng.integers(0, N_PATTERNS, pulses)
+    pairs = rng.integers(0, 4, pulses)
+    forms = ("canonical", "canonical", "zeros", "crlf", "cr", "sign", "space", "blank")
+    lines = []
+    for start in range(0, pulses, 40):
+        form = forms[rng.integers(len(forms))]
+        for row in range(start, min(start + 40, pulses)):
+            fields = [str(v) for v in (index[row], setting[row], pattern[row], pairs[row])]
+            field = rng.integers(4)
+            if form == "zeros":
+                fields[field] = "00" + fields[field]
+            elif form == "sign":
+                fields[field] = "+" + fields[field]
+            elif form == "space":
+                fields[field] = " " + fields[field]
+            end = {"crlf": "\r\n", "cr": "\r"}.get(form, "\n")
+            lines.append(",".join(fields) + end + ("\n" if form == "blank" else ""))
+    text = EVENT_LOG_HEADER + "\n" + "".join(lines)
+    return text.rstrip("\n") if rng.random() < 0.5 else text
+
+
+class TestLogReader:
+    """The checked np.fromstring fast path against the np.loadtxt parse."""
+
+    # characters: a few lines a block, so reads end inside rows everywhere
+    BLOCK = 300
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_LOG_CHARS", self.BLOCK)
+
+    @staticmethod
+    def read(source, monkeypatch, fast=True):
+        """(result or error message, fast path taken per block), read
+        with warnings as errors, by the fast path or by np.loadtxt alone."""
+        parse, taken = simulator._parse_log_block, []
+
+        def spy(text):
+            rows = parse(text) if fast else None
+            taken.append(rows is not None)
+            return rows
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_parse_log_block", spy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    back = read_event_log(source)
+                except ConfigurationError as err:
+                    return str(err), taken
+        return (back.tallies, back.truth_pairs, back.pulses,
+                [p.tolist() for p in back.patterns]), taken
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_logs_match_the_loadtxt_parse(self, tmp_path, monkeypatch,
+                                                small_blocks, seed):
+        text = random_log_text(np.random.default_rng(seed))
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(text.encode("ascii"))
+        want, taken = self.read(path, monkeypatch, fast=False)
+        assert not isinstance(want, str) and not any(taken)
+        got, taken = self.read(path, monkeypatch)
+        assert got == want
+        assert any(taken) and not all(taken)  # both paths ran
+
+        # a pipe delivers the same text, "\r\n" and "\r" read as "\n"
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with os.fdopen(write_fd, "w") as writer:
+                writer.write(text)
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        with os.fdopen(read_fd) as fh:
+            got, taken = self.read(fh, monkeypatch)
+        feeder.join()
+        assert got == want and any(taken)
+
+    @pytest.mark.parametrize("rows, line, bad", [
+        ("99999999999999999999,0,5,1\n", 4, "99999999999999999999,0,5,1"),
+        ("9223372036854775808,0,5,1\n", 4, "9223372036854775808,0,5,1"),
+        # the comma total of canonical lines, on lines with 2 and 4
+        ("2,0,9\n3,0,5,1,7\n", 4, "2,0,9"),
+        ("2,0,9,1\n3,0,5\n4,0,5,1,7\n", 5, "3,0,5"),
+        ("2,,5,1\n", 4, "2,,5,1"),
+        (",2,0,5,1\n", 4, ",2,0,5,1"),
+        ("+5\n", 4, "+5"),
+        (" 5\n", 4, " 5"),
+        ("2,0\x0c5,1\n", 4, "2,0\x0c5,1"),  # a form feed ends no line
+        ("57", 4, "57"),  # the last line, with no line end
+    ])
+    def test_non_canonical_rows_fail_as_before(self, tmp_path, monkeypatch,
+                                               small_blocks, rows, line, bad):
+        # canonical rows around the bad one fill its block: the fast path
+        # must refuse the block, not read a wrong value from it
+        before = "".join(f"{i},0,5,1\n" for i in range(2))
+        after = ("".join(f"{i},0,5,1\n" for i in range(4, 200))
+                 if rows.endswith("\n") else "")
+        path = tmp_path / "bad.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n" + before + rows + after)
+        message = (f"event log: line {line} ({bad!r}) is not 4 "
+                   f"comma-separated integers")
+        for fast in (True, False):
+            assert self.read(path, monkeypatch, fast)[0] == message
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            read_event_log(path)  # in the default block size
+
+    @pytest.mark.parametrize("row", ["9223372036854775807,0,5,1",
+                                     "0,9223372036854775807,5,1"])
+    def test_int64_maximum_reads_as_before(self, tmp_path, monkeypatch,
+                                           small_blocks, row):
+        # np.fromstring also gives 2**63 - 1 for larger values, so a block
+        # holding it goes to np.loadtxt, which reads this one exactly
+        path = tmp_path / "max.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n0,0,5,1\n1,0,5,1\n" + row + "\n")
+        got = self.read(path, monkeypatch)[0]
+        assert got == self.read(path, monkeypatch, fast=False)[0]
+        if row.startswith("9"):
+            assert "pulse_index 9223372036854775807 where 2 is expected" in got
+        else:
+            assert got[2] == [2, 1]
+
+    def test_canonical_log_takes_the_fast_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        cfg = ExperimentConfig(source=SRC_240M, eff=EFF_240M,
+                               settings=(PhaseSetting(0.9, 0.0), PhaseSetting(2.1, 0.3)),
+                               pulses_per_setting=30_000, seed=5)
+        result = run_experiment(cfg, event_log=path)
+        got, taken = self.read(path, monkeypatch)
+        assert got[:3] == (result.tallies, result.truth_pairs, result.pulses)
+        assert len(taken) > 2 and all(taken)
+        assert got == self.read(path, monkeypatch, fast=False)[0]
 
 
 def savetxt_log_chunk(fh, lo, setting_index, patterns, m):
