@@ -70,7 +70,6 @@ from .estimation import (
     fisher_from_precision,
     fit_fringe,
     fold_to_branch,
-    mle_phase,
 )
 from .resources import (
     PASS_WEIGHT,
@@ -159,7 +158,6 @@ __all__ = [
     "load_config_file",
     "load_preset",
     "measure_phase_point",
-    "mle_phase",
     "parse_config",
     "pattern_distribution",
     "predicted_db_below_snl",

@@ -318,6 +318,17 @@ def cmd_audit(args):
     return 0
 
 
+def _worker_count(text):
+    """--workers as an int >= 1; argparse reports anything else as exit 2."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 _COMMANDS = {
     "fringe": cmd_fringe,
     "precision": cmd_precision,
@@ -352,8 +363,8 @@ def build_parser():
     p = sub.add_parser("fringe",
                        help="scan the coincidence fringe and fit it")
     common(p)
-    p.add_argument("--workers", type=int,
-                   help="worker threads for pulse-path sampling")
+    p.add_argument("--workers", type=_worker_count,
+                   help="worker threads for pulse-path sampling (>= 1)")
     p.add_argument("--log",
                    help="also write the per-pulse event log to this path")
 

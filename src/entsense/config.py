@@ -50,15 +50,24 @@ def _need(doc, key, path, kind=None):
     return value
 
 
+def _finite(value, path):
+    """A JSON number as a finite float; _fail names path otherwise."""
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(path, "must be finite")
+    return value
+
+
 def _number(doc, key, path, minimum=None, maximum=None, default=None):
     if key not in doc and default is not None:
         return default
     value = _need(doc, key, path, (int, float))
     if isinstance(value, bool):
         _fail(f"{path}{key}", "expected a number, got a boolean")
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(f"{path}{key}", "must be finite")
+    value = _finite(value, f"{path}{key}")
     if minimum is not None and value < minimum:
         _fail(f"{path}{key}", f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -66,7 +75,7 @@ def _number(doc, key, path, minimum=None, maximum=None, default=None):
     return value
 
 
-def _integer(doc, key, path, minimum=None, default=None):
+def _integer(doc, key, path, minimum=None, maximum=None, default=None):
     if key not in doc and default is not None:
         return default
     value = _need(doc, key, path, int)
@@ -74,7 +83,18 @@ def _integer(doc, key, path, minimum=None, default=None):
         _fail(f"{path}{key}", "expected an integer, got a boolean")
     if minimum is not None and value < minimum:
         _fail(f"{path}{key}", f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(f"{path}{key}", f"must be <= {maximum}, got {value}")
     return int(value)
+
+
+def _interval(value, path):
+    """[low, high] of two finite numbers, booleans excluded, as floats."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in value)):
+        _fail(path, "expected [low, high]")
+    return _finite(value[0], path), _finite(value[1], path)
 
 
 @dataclass(frozen=True)
@@ -190,12 +210,9 @@ def _parse_scan(doc):
         if key not in known:
             _fail(f"scan.{key}", "unknown key")
     points = _integer(sec, "points", "scan.", minimum=1, default=ScanSpec.points)
-    span = sec.get("span", ScanSpec.span)
-    if (not isinstance(span, (list, tuple)) or len(span) != 2
-            or not all(isinstance(x, (int, float)) for x in span)):
-        _fail("scan.span", "expected [low, high]")
-    if not float(span[0]) < float(span[1]):
-        _fail("scan.span", f"must satisfy low < high, got {span}")
+    span = _interval(sec.get("span", ScanSpec.span), "scan.span")
+    if not span[0] < span[1]:
+        _fail("scan.span", f"must satisfy low < high, got {list(span)}")
     pulses = _integer(sec, "pulses_per_point", "scan.", minimum=1,
                       default=ScanSpec.pulses_per_point)
     analytic = sec.get("analytic", ScanSpec.analytic)
@@ -204,14 +221,12 @@ def _parse_scan(doc):
     eta_range = sec.get("eta_range")
     eta_step = None
     if eta_range is not None:
-        if (not isinstance(eta_range, (list, tuple)) or len(eta_range) != 2
-                or not all(isinstance(x, (int, float)) for x in eta_range)):
-            _fail("scan.eta_range", "expected [low, high]")
-        if not 0.0 < float(eta_range[0]) < float(eta_range[1]) <= 1.0:
-            _fail("scan.eta_range", f"must satisfy 0 < low < high <= 1, got {eta_range}")
+        eta_range = _interval(eta_range, "scan.eta_range")
+        if not 0.0 < eta_range[0] < eta_range[1] <= 1.0:
+            _fail("scan.eta_range",
+                  f"must satisfy 0 < low < high <= 1, got {list(eta_range)}")
         eta_step = _number(sec, "eta_step", "scan.", minimum=1e-6)
-        eta_range = (float(eta_range[0]), float(eta_range[1]))
-    return ScanSpec(points=points, span=(float(span[0]), float(span[1])),
+    return ScanSpec(points=points, span=span,
                     pulses_per_point=pulses, analytic=analytic,
                     eta_range=eta_range, eta_step=eta_step)
 
@@ -244,7 +259,7 @@ def parse_config(doc):
         if key not in _SECTION_NAMES:
             _fail(key, f"unknown section; expected one of {_SECTION_NAMES}")
     source = _parse_source(doc)
-    seed = _integer(doc, "seed", "", minimum=0)
+    seed = _integer(doc, "seed", "", minimum=0, maximum=2**64 - 1)
     return RunConfig(
         source=source,
         efficiency=_parse_efficiency(doc),

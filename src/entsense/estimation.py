@@ -28,10 +28,8 @@ from .errors import (
     ConfigurationError,
     DegenerateEstimateWarning,
     DomainError,
-    EmptyStatisticsError,
     FitError,
 )
-from .events import Tally
 from .model import COINCIDENCE_CHANNELS, COINCIDENCE_PATTERNS, INFORMATIVE_PATTERNS
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "FringeFit",
     "fit_fringe",
     "fold_to_branch",
-    "mle_phase",
     "estimate_blocks",
     "BlockStats",
     "block_stats",
@@ -327,34 +324,6 @@ def _loglike_slopes(cats, calibration, u):
     return (weights * g).sum(axis=1), (weights * h).sum(axis=1)
 
 
-def mle_phase(tally, calibration):
-    """Maximum-likelihood global phase from one tally of counts.
-
-    tally is a Tally or the four coincidence counts (A1B1, A1B2, A2B1,
-    A2B2).  Maximizes the multinomial log-likelihood of the four
-    coincidence counts over u = 3*theta_hat in (0, pi), against the
-    calibrated fringe curves; returns theta_hat = u/3.  The likelihood
-    conditions on the coincidence subset, so the other informative types
-    enter only through the C_sum normalization already baked into the
-    calibration fractions.
-
-    Degenerate cases follow estimate_blocks' rules and warnings.
-    """
-    if isinstance(tally, Tally):
-        if tally.c_sum == 0:
-            raise EmptyStatisticsError("tally has no informative events")
-        row = np.asarray(tally.counts)[list(INFORMATIVE_PATTERNS)]
-    else:
-        counts = np.asarray(tally, dtype=np.int64)
-        if counts.shape != (4,):
-            raise ConfigurationError(
-                f"expected 4 category counts, got shape {counts.shape}"
-            )
-        row = np.zeros(len(INFORMATIVE_PATTERNS), dtype=np.int64)
-        row[_COINC_SLOTS] = counts
-    return float(estimate_blocks(row[None, :], calibration)[0])
-
-
 def estimate_blocks(block_counts, calibration):
     """Vectorized per-block MLE: one theta_hat per row of block_counts.
 
@@ -436,13 +405,11 @@ class BlockStats:
     """Spread of per-block phase estimates and its own error bar."""
 
     s: int
-    k_bar: int | None
-    estimates: tuple
     delta_hat: float
     delta_err: float
 
 
-def block_stats(estimates, k_bar=None):
+def block_stats(estimates):
     """Bessel-corrected spread of block estimates with its error bar.
 
     delta_err = delta_hat / sqrt(2(s-1)), the leading-order error of a
@@ -454,13 +421,7 @@ def block_stats(estimates, k_bar=None):
         raise DomainError(f"block statistics need at least 2 estimates, got {s}")
     delta_hat = float(values.std(ddof=1))
     delta_err = delta_hat / math.sqrt(2.0 * (s - 1))
-    return BlockStats(
-        s=s,
-        k_bar=None if k_bar is None else int(k_bar),
-        estimates=tuple(values),
-        delta_hat=delta_hat,
-        delta_err=delta_err,
-    )
+    return BlockStats(s=s, delta_hat=delta_hat, delta_err=delta_err)
 
 
 def fisher_from_precision(delta_hat, k_bar):

@@ -8,9 +8,7 @@ sensing (both nodes clicked); their total is the normalization ``C_sum``
 used by all downstream estimation, so no event is post-selected away.
 
 A :class:`Tally` is the sufficient statistic of a run at one phase setting:
-counts per event type plus derived totals.  Tallies form a commutative
-monoid under :meth:`Tally.merge`, which is what makes chunked parallel
-simulation safe.
+counts per event type plus derived totals.
 """
 
 from __future__ import annotations
@@ -111,8 +109,6 @@ _CHANNEL_MEMBERSHIP = np.array(
     [[(p >> b) & 1 for p in range(N_PATTERNS)] for b in range(4)], dtype=np.int64
 )
 
-_COUNT_LIMIT = np.iinfo(np.int64).max
-
 
 def classify(pattern: int) -> EventType:
     """Map a 4-bit click mask to its event type.
@@ -147,9 +143,7 @@ class Tally:
 
     ``counts[p]`` is the number of pulses whose click mask was ``p``.  The
     sum over all sixteen entries is the number of pulses processed; nothing
-    is discarded.  Instances merge associatively and commutatively as long
-    as the setting index matches, so partial tallies from parallel chunks
-    can be combined in any order.
+    is discarded.
     """
 
     counts: np.ndarray = field(default_factory=lambda: np.zeros(N_PATTERNS, np.int64))
@@ -204,25 +198,6 @@ class Tally:
     def coincidence_counts(self) -> tuple[int, ...]:
         """Counts of the four cross-node twofolds, (A1B1, A1B2, A2B1, A2B2)."""
         return tuple(int(self.counts[int(t)]) for t in COINCIDENCE_TYPES)
-
-    def merge(self, other: "Tally") -> "Tally":
-        """Combine two partial tallies of the same setting."""
-        if not isinstance(other, Tally):
-            raise TypeError(f"cannot merge Tally with {type(other).__name__}")
-        if other.setting_index != self.setting_index:
-            raise ConfigurationError(
-                "cannot merge tallies of different settings "
-                f"({self.setting_index} vs {other.setting_index})"
-            )
-        # Desk-scale runs sit far below 2**63, but a silent wrap would be
-        # unforgivable, so check in exact integer arithmetic.
-        merged = self.counts.astype(object) + other.counts.astype(object)
-        if max(merged) > _COUNT_LIMIT:
-            raise OverflowError("tally count exceeds 64-bit range")
-        return Tally(merged.astype(np.int64), self.setting_index)
-
-    def __add__(self, other: "Tally") -> "Tally":
-        return self.merge(other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tally):

@@ -58,7 +58,6 @@ __all__ = [
     "pattern_bits",
     "pattern_distribution",
     "pattern_is_informative",
-    "pattern_label",
     "route_probs",
 ]
 
@@ -87,12 +86,6 @@ def pattern_bits(pattern):
     return tuple(ch for ch in CHANNELS if pattern & (1 << CHANNEL_BIT[ch]))
 
 
-def pattern_label(pattern):
-    """Spelling of a pattern: clicked channels concatenated, 'NoClick' if none."""
-    names = pattern_bits(pattern)
-    return "".join(names) if names else "NoClick"
-
-
 def pattern_is_informative(pattern):
     """True when at least one Alice and at least one Bob detector clicked.
 
@@ -110,40 +103,27 @@ INFORMATIVE_PATTERNS = tuple(p for p in range(N_PATTERNS) if pattern_is_informat
 class PhaseSetting:
     """One configured pair of sensor phases, in radians.
 
-    pass_counts is the number of times a photon crosses each sensor's
-    phase plate.  The fringe algebra in this package hard-codes the
-    (1, 2) topology; operations that rely on it reject anything else.
+    A photon crosses sensor A's phase plate once and its partner crosses
+    sensor B's twice, so a setting acts on the fringe only through
+    global_phase.  Both angles, and the interference phase
+    3 * global_phase they make, must be finite.
     """
 
     theta_a: float
     theta_b: float
-    pass_counts: tuple = (1, 2)
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta_a) and math.isfinite(self.theta_b)):
-            raise ConfigurationError("phase setting angles must be finite")
-        pc = tuple(self.pass_counts)
-        if len(pc) != 2 or any((not isinstance(c, int)) or c < 1 for c in pc):
+        # inf or nan when an angle is, or when theta_a - 2*theta_b overflows
+        if not math.isfinite(3.0 * global_phase(self)):
             raise ConfigurationError(
-                f"pass_counts must be a pair of positive integers, got {self.pass_counts!r}"
+                "phase setting angles and theta_a - 2*theta_b must be finite, "
+                f"got ({self.theta_a}, {self.theta_b})"
             )
-        object.__setattr__(self, "pass_counts", pc)
 
 
-def global_phase(setting, *, reduce=False):
-    """Global function theta_hat = (theta_A - 2*theta_B)/3 of a setting.
-
-    With reduce=True the value is folded into the principal fringe
-    interval [0, 2*pi/3).
-    """
-    if setting.pass_counts != (1, 2):
-        raise DomainError(
-            f"global phase is defined for pass_counts (1, 2), got {setting.pass_counts}"
-        )
-    theta = (setting.theta_a - 2.0 * setting.theta_b) / 3.0
-    if reduce:
-        theta = theta % GLOBAL_PHASE_PERIOD
-    return theta
+def global_phase(setting):
+    """Global function theta_hat = (theta_A - 2*theta_B)/3 of a setting."""
+    return (setting.theta_a - 2.0 * setting.theta_b) / 3.0
 
 
 @dataclass(frozen=True)
@@ -197,21 +177,15 @@ class SourceParams:
         return float(np.dot(np.arange(self.n_max + 1), w))
 
 
-_BREAKDOWN_KEYS = ("sc", "so", "fiber", "m", "det")
-
-
 @dataclass(frozen=True)
 class EfficiencyBudget:
     """End-to-end heralding efficiency per detection channel.
 
-    eta maps each of A1, A2, B1, B2 to a survival probability in (0, 1].
-    An optional per-channel breakdown (source coupling, source optics,
-    fiber, measurement optics, detector) may be attached; its product
-    must reproduce eta to 1e-6 relative.
+    eta maps each of A1, A2, B1, B2 to a survival probability in (0, 1]:
+    the product of every loss between the source and the click.
     """
 
     eta: dict
-    breakdown: dict | None = None
 
     def __post_init__(self):
         eta = dict(self.eta)
@@ -228,23 +202,6 @@ class EfficiencyBudget:
                     f"efficiency for {ch} must lie in (0, 1], got {value}"
                 )
         object.__setattr__(self, "eta", eta)
-        if self.breakdown is not None:
-            bd = {ch: dict(parts) for ch, parts in dict(self.breakdown).items()}
-            for ch, parts in bd.items():
-                if ch not in CHANNELS:
-                    raise ConfigurationError(f"breakdown names unknown channel {ch!r}")
-                if tuple(parts) != _BREAKDOWN_KEYS:
-                    raise ConfigurationError(
-                        f"breakdown for {ch} must have keys {_BREAKDOWN_KEYS}, "
-                        f"got {tuple(parts)}"
-                    )
-                product = math.prod(parts.values())
-                if abs(product - eta[ch]) > 1e-6 * eta[ch]:
-                    raise ConfigurationError(
-                        f"breakdown product {product:.8f} for {ch} does not "
-                        f"reproduce eta={eta[ch]:.8f} to 1e-6 relative"
-                    )
-            object.__setattr__(self, "breakdown", bd)
 
     @classmethod
     def uniform(cls, eta):
@@ -449,7 +406,7 @@ def crb(k, effective_fisher):
     return 1.0 / math.sqrt(k * effective_fisher)
 
 
-def fisher_per_informative_event(source, eff, u, *, routing="sensing"):
+def fisher_per_informative_event(source, eff, u):
     """Fisher information about theta_hat carried by one informative event.
 
     Conditions the exact pattern distribution on the informative set
@@ -458,9 +415,7 @@ def fisher_per_informative_event(source, eff, u, *, routing="sensing"):
     to theta_hat = u/3.  In the lossless single-pair limit this recovers
     effective_fi(fisher_matrix(u, V)).
     """
-    dist, d_probs = pattern_distribution(
-        source, eff, u, routing=routing, with_derivative=True
-    )
+    dist, d_probs = pattern_distribution(source, eff, u, with_derivative=True)
     idx = list(INFORMATIVE_PATTERNS)
     p = dist.probs[idx]
     dp = d_probs[idx]

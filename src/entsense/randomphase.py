@@ -102,11 +102,11 @@ def bits_to_phase(bits):
     return 2.0 * math.pi * v / 2.0 ** PHASE_BITS
 
 
-def random_bit_blocks(seed, count, *, chunk_index=0):
+def random_bit_blocks(seed, count):
     """Deterministic (count, 64) array of bits from the bit-source lane."""
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
-    rng = stream_generator(seed, LANE_BITS, chunk_index=chunk_index)
+    rng = stream_generator(seed, LANE_BITS)
     return rng.integers(0, 2, size=(count, PHASE_BITS), dtype=np.uint8)
 
 
@@ -161,7 +161,7 @@ def measure_phase_point(source, eff, calibration, u, k_bar, s, *, seed,
                              setting_index=setting_index)
     audit = ResourceAudit.from_tallies(run.tally, source, eff)
     theta_hat, stats, report = _block_report(
-        run.block_counts, calibration, k_bar, audit.n / s,
+        run.block_counts, calibration, audit.n / s,
         params={
             "mu": source.mu,
             "visibility": source.visibility,
@@ -202,7 +202,7 @@ def measure_logged_setting(patterns, tally, source, eff, calibration, k_bar):
         )
     audit = ResourceAudit.from_tallies(tally, source, eff)
     _, _, report = _block_report(
-        cut_blocks(patterns, k_bar, s), calibration, k_bar, audit.n * k_bar / K,
+        cut_blocks(patterns, k_bar, s), calibration, audit.n * k_bar / K,
         params={"k_bar": k_bar, "s": s},
     )
     return report, s
@@ -259,11 +259,11 @@ def threshold_scan(source, etas, pulses, *, seed):
     return rows, (slope, intercept, -intercept / slope if slope != 0 else None)
 
 
-def _block_report(block_counts, calibration, k_bar, n, params):
+def _block_report(block_counts, calibration, n, params):
     """(theta_hat, stats, report) of the blocks against a per-block
     resource share n; report is None when the spread is zero."""
     estimates = estimate_blocks(block_counts, calibration)
-    stats = block_stats(estimates, k_bar=k_bar)
+    stats = block_stats(estimates)
     theta_hat = float(np.mean(estimates))
     if stats.delta_hat == 0.0:
         return theta_hat, stats, None

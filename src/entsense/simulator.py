@@ -16,13 +16,14 @@ every (setting, chunk) item of the run to one pool, with at most
 Two sampling paths are exposed:
 
 - the pulse path (`run_experiment`, `sample_patterns`, `tally_pulses`):
-  every pulse is drawn explicitly - pair number, per-pair routing,
-  per-photon survival - and carries the emitted-pair truth side channel
-  used by the resource audit.  The pair-number, route and click draws
-  are fixed by the determinism contract; the pair numbers and routes are
-  computed on the emitting pulses only, by comparing the draws with the
-  cumulative weights, which equals searchsorted plus the clip to the last
-  bin.  `tally_pulses` reduces a chunk to its 16 counts and truth total
+  every pulse is drawn explicitly - pair number, per-pair route under
+  the sensing law (model.coincidence_probs), per-photon survival - and
+  carries the emitted-pair truth side channel used by the resource
+  audit.  The pair-number, route and click draws are fixed by the
+  determinism contract; the pair numbers and routes are computed on the
+  emitting pulses only, by comparing the draws with the cumulative
+  weights, which equals searchsorted plus the clip to the last bin.
+  `tally_pulses` reduces a chunk to its 16 counts and truth total
   without per-pulse arrays; `sample_patterns` scatters the same draws
   into per-pulse arrays for the event log;
 - distributional shortcuts (`sample_tally`, `sample_blocked_run`): the
@@ -55,9 +56,9 @@ from .model import (
     EfficiencyBudget,
     PhaseSetting,
     SourceParams,
+    coincidence_probs,
     global_phase,
     pattern_distribution,
-    route_probs,
 )
 
 __all__ = [
@@ -145,7 +146,6 @@ class ExperimentConfig:
     pulses_per_setting: int
     seed: int
     chunk_size: int = _DEFAULT_CHUNK
-    routing: str = "sensing"
 
     def __post_init__(self):
         settings = tuple(self.settings)
@@ -165,10 +165,6 @@ class ExperimentConfig:
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigurationError(f"seed must be a 64-bit unsigned, got {self.seed}")
-        if self.routing not in ("sensing", "calibration"):
-            raise ConfigurationError(
-                f"routing must be 'sensing' or 'calibration', got {self.routing!r}"
-            )
         if len(settings) >= 2**24:
             raise ConfigurationError("too many settings for the stream layout")
         n_chunks = -(-self.pulses_per_setting // self.chunk_size)
@@ -206,7 +202,7 @@ def _edges_passed(edges, r):
     return passed
 
 
-def _draw_emitting(source, eff, u, rng, n, routing):
+def _draw_emitting(source, eff, u, rng, n):
     """One chunk of the pulse path, kept only where a pair was emitted.
 
     Returns (idx int64[k], patterns uint8[k], m int16[k]): the indices of
@@ -219,7 +215,7 @@ def _draw_emitting(source, eff, u, rng, n, routing):
     if n < 0:
         raise ConfigurationError(f"pulse count must be >= 0, got {n}")
     cum_pairs = np.cumsum(source.pair_weights())
-    cum_route = np.cumsum(route_probs(u, source.visibility, routing))
+    cum_route = np.cumsum(coincidence_probs(u, source.visibility))
     eta = eff.as_array()
 
     r = rng.random(n)
@@ -238,7 +234,7 @@ def _draw_emitting(source, eff, u, rng, n, routing):
     return idx, np.bitwise_or.reduceat(masks, starts), m
 
 
-def sample_patterns(source, eff, u, rng, n, routing="sensing"):
+def sample_patterns(source, eff, u, rng, n):
     """Vectorized pulse path: n pulses on a caller-owned generator.
 
     Returns (patterns uint8[n], truth_pairs int16[n]).  The pair-number,
@@ -247,7 +243,7 @@ def sample_patterns(source, eff, u, rng, n, routing="sensing"):
     comparing the draws with the cumulative weights, which equals
     searchsorted(side="right") followed by the clip to the last bin.
     """
-    idx, emitting, m_emitting = _draw_emitting(source, eff, u, rng, n, routing)
+    idx, emitting, m_emitting = _draw_emitting(source, eff, u, rng, n)
     patterns = np.zeros(n, dtype=np.uint8)
     patterns[idx] = emitting
     m = np.zeros(n, dtype=np.int16)
@@ -255,22 +251,17 @@ def sample_patterns(source, eff, u, rng, n, routing="sensing"):
     return patterns, m
 
 
-def tally_pulses(source, eff, u, rng, n, routing="sensing"):
+def tally_pulses(source, eff, u, rng, n):
     """The pulse path reduced to counts: n pulses, no per-pulse arrays.
 
     Returns (counts int64[16], truth_pairs int), equal to the bincount of
     sample_patterns' patterns and the sum of its pair numbers for the same
     generator state, and leaves the generator where sample_patterns does.
     """
-    idx, patterns, m = _draw_emitting(source, eff, u, rng, n, routing)
+    idx, patterns, m = _draw_emitting(source, eff, u, rng, n)
     counts = np.bincount(patterns, minlength=N_PATTERNS)
     counts[0] += n - len(idx)
     return counts, int(m.sum(dtype=np.int64))
-
-
-def _interference_phase(setting):
-    # validates the (1, 2) pass topology as a side effect
-    return 3.0 * global_phase(setting)
 
 
 def run_experiment(config, *, workers=None, event_log=None):
@@ -281,13 +272,14 @@ def run_experiment(config, *, workers=None, event_log=None):
     order, so any worker count gives bit-identical tallies and event logs.
     One pool of `workers` threads serves the whole run (none when workers
     is unset or 1) and keeps at most 2 * workers chunks in flight, across
-    setting boundaries.  Every setting is validated before the log is
-    opened, so a bad setting leaves no partial log.  When event_log is a
-    path or writable text file, every pulse is appended as
+    setting boundaries.  Each chunk's 16 counts are added into its
+    setting's int64 row.  A PhaseSetting is fully checked when it is
+    built, so no setting fails part way through a run.  When event_log
+    is a path or writable text file, every pulse is appended as
     `pulse_index,setting_index,pattern,truth_pairs`; without a log each
     chunk is reduced by tally_pulses, with the same draws.
     """
-    phases = [_interference_phase(setting) for setting in config.settings]
+    phases = [3.0 * global_phase(setting) for setting in config.settings]
     pulses, chunk_size = config.pulses_per_setting, config.chunk_size
     work = [(s_idx, c_idx, lo, min(chunk_size, pulses - lo))
             for s_idx in range(len(phases))
@@ -296,7 +288,7 @@ def run_experiment(config, *, workers=None, event_log=None):
     def draw(item):
         s_idx, c_idx, lo, size = item
         rng = stream_generator(config.seed, LANE_PULSES, s_idx, c_idx)
-        args = (config.source, config.eff, phases[s_idx], rng, size, config.routing)
+        args = (config.source, config.eff, phases[s_idx], rng, size)
         if event_log is None:
             return s_idx, lo, *tally_pulses(*args), None
         patterns, m = sample_patterns(*args)
@@ -532,7 +524,7 @@ def _parse_log_rows(lines):
     return rows.reshape(-1, 4) if rows.size == 0 or rows.shape[1] == 4 else None
 
 
-def sample_tally(source, eff, u, pulses, rng, routing="sensing", setting_index=0):
+def sample_tally(source, eff, u, pulses, rng, setting_index=0):
     """Multinomial shortcut: a pulse-count tally without per-pulse draws.
 
     Distribution-exact because pulses are iid categorical over the 16
@@ -540,7 +532,7 @@ def sample_tally(source, eff, u, pulses, rng, routing="sensing", setting_index=0
     """
     if pulses < 0:
         raise ConfigurationError(f"pulse count must be >= 0, got {pulses}")
-    dist = pattern_distribution(source, eff, u, routing=routing)
+    dist = pattern_distribution(source, eff, u)
     counts = rng.multinomial(pulses, dist.probs)
     return Tally(counts.astype(np.int64), setting_index=setting_index)
 
@@ -559,7 +551,6 @@ class BlockedRunSample:
     block_counts: np.ndarray
     tally: Tally
     pulses: int
-    informative_patterns: tuple = INFORMATIVE_PATTERNS
 
     @property
     def s(self):
@@ -590,8 +581,7 @@ def cut_blocks(patterns, k_bar, s):
     return np.bincount(cells, minlength=s * n_slots).reshape(s, n_slots)
 
 
-def sample_blocked_run(source, eff, u, k_bar, s, rng, routing="sensing",
-                       setting_index=0):
+def sample_blocked_run(source, eff, u, k_bar, s, rng, setting_index=0):
     """Draw a blocked acquisition by its exact factorization.
 
     The pulse stream is iid, so conditioned on type (informative or not)
@@ -604,7 +594,7 @@ def sample_blocked_run(source, eff, u, k_bar, s, rng, routing="sensing",
     """
     if k_bar < 1 or s < 1:
         raise ConfigurationError("blocked run needs k_bar >= 1 and s >= 1")
-    dist = pattern_distribution(source, eff, u, routing=routing)
+    dist = pattern_distribution(source, eff, u)
     inf_idx = list(INFORMATIVE_PATTERNS)
     p_inf = dist.informative_probability()
     if p_inf <= 0.0:
@@ -628,8 +618,7 @@ def sample_blocked_run(source, eff, u, k_bar, s, rng, routing="sensing",
 
 
 def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,
-                                   routing="sensing", setting_index=0,
-                                   chunk=1 << 18):
+                                   setting_index=0, chunk=1 << 18):
     """Reference blocked acquisition on the explicit pulse path.
 
     Streams pulses until the (k_bar*s)-th informative event, trims at
@@ -645,7 +634,7 @@ def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,
     collected = 0
     pulses = 0
     while collected < need:
-        patterns, _ = sample_patterns(source, eff, u, rng, chunk, routing)
+        patterns, _ = sample_patterns(source, eff, u, rng, chunk)
         keep_mask = _SLOT_OF_PATTERN[patterns] >= 0
         kept = patterns[keep_mask]
         if collected + len(kept) >= need:

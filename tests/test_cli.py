@@ -181,6 +181,27 @@ class TestConfigErrors:
         assert code == 2
         assert f"config key blocks.{key}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("scan.span", [False, True]),
+        ("scan.span", [0, math.inf]),
+        ("scan.eta_range", [0.5, True]),
+        ("seed", 2**64),
+        ("source.mu", 10**400),
+    ], ids=["span-booleans", "span-infinity", "eta_range-boolean", "seed-65-bits",
+            "mu-beyond-float"])
+    def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, key,
+                                                  value):
+        doc = fringe_doc()
+        doc["scan"]["eta_step"] = 0.1  # read only next to an eta_range
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = value
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        code = main(["fringe", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert f"config key {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_config_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = readme.split("### Config schema", 1)[1]
@@ -275,6 +296,16 @@ class TestFringeCommand:
                 == (out4 / "fringe_scan.csv").read_bytes())
         assert ((out1 / "fringe_fit.json").read_bytes()
                 == (out4 / "fringe_fit.json").read_bytes())
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_rejected(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        code = main(["fringe", "--preset", "ideal", "--workers", workers,
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"argument --workers: must be >= 1, got {workers}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_seed_override_changes_data_and_manifest(self, tmp_path):
         doc = fringe_doc(pulses=60_000, points=7)

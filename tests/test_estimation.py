@@ -23,7 +23,6 @@ from entsense.errors import (
     ConfigurationError,
     DegenerateEstimateWarning,
     DomainError,
-    EmptyStatisticsError,
     FitError,
 )
 from entsense.estimation import (
@@ -33,7 +32,6 @@ from entsense.estimation import (
     estimate_blocks,
     fisher_from_precision,
     fit_fringe,
-    mle_phase,
 )
 from entsense.events import Tally
 from entsense.model import (
@@ -89,6 +87,12 @@ def tally_from_quartet(probs, scale=10**12):
     for pattern, p in zip(COINCIDENCE_PATTERNS, probs):
         counts[pattern] = round(p * scale)
     return Tally(counts=counts)
+
+
+def mle_one(tally, calibration):
+    """The block MLE of one tally, as a one-row estimate_blocks call."""
+    row = tally.counts[list(INFORMATIVE_PATTERNS)]
+    return float(estimate_blocks(row[None, :], calibration)[0])
 
 
 class TestFringeFit:
@@ -371,17 +375,19 @@ class TestLeastSquaresParity:
 
 
 class TestMlePhase:
+    """The MLE of a single tally, through a one-row estimate_blocks call."""
+
     def test_exact_inversion_at_quarter_period(self):
         tally = tally_from_quartet(coincidence_probs(math.pi / 2, V_EFF_240))
         cal = FringeFit.ideal(visibility=V_EFF_240)
-        theta_hat = mle_phase(tally, cal)
+        theta_hat = mle_one(tally, cal)
         assert abs(theta_hat - math.pi / 6) < 1e-9
 
     @pytest.mark.parametrize("u_true", [0.4, 1.0, 2.0, 2.8])
     def test_inversion_across_branch(self, u_true):
         tally = tally_from_quartet(coincidence_probs(u_true, 0.95))
         cal = FringeFit.ideal(visibility=0.95)
-        theta_hat = mle_phase(tally, cal)
+        theta_hat = mle_one(tally, cal)
         assert abs(theta_hat - u_true / 3) < 1e-7
 
     def test_out_of_branch_truth_comes_back_folded(self):
@@ -390,13 +396,13 @@ class TestMlePhase:
         u_outside = 2 * math.pi - 0.9
         tally = tally_from_quartet(coincidence_probs(u_outside, 0.95))
         cal = FringeFit.ideal(visibility=0.95)
-        theta_hat = mle_phase(tally, cal)
+        theta_hat = mle_one(tally, cal)
         assert abs(theta_hat - 0.9 / 3) < 1e-7
 
     def test_calibration_phase_offset_shifts_inversion(self):
         tally = tally_from_quartet(coincidence_probs(1.7, 0.95))
         cal = FringeFit.ideal(visibility=0.95, phase_offset=0.2)
-        theta_hat = mle_phase(tally, cal)
+        theta_hat = mle_one(tally, cal)
         assert abs(theta_hat - 1.5 / 3) < 1e-7
 
     def test_antiphase_extremum_hits_lower_boundary(self):
@@ -404,8 +410,8 @@ class TestMlePhase:
         counts[0b0110] = 500  # A1B2
         counts[0b1001] = 500  # A2B1
         with pytest.warns(DegenerateEstimateWarning, match="boundary"):
-            theta_hat = mle_phase(Tally(counts=counts),
-                                  FringeFit.ideal(visibility=0.99))
+            theta_hat = mle_one(Tally(counts=counts),
+                                FringeFit.ideal(visibility=0.99))
         assert theta_hat == 0.0
 
     def test_inphase_extremum_hits_upper_boundary(self):
@@ -413,34 +419,17 @@ class TestMlePhase:
         counts[0b0101] = 500  # A1B1
         counts[0b1010] = 500  # A2B2
         with pytest.warns(DegenerateEstimateWarning, match="boundary"):
-            theta_hat = mle_phase(Tally(counts=counts),
-                                  FringeFit.ideal(visibility=0.99))
+            theta_hat = mle_one(Tally(counts=counts),
+                                FringeFit.ideal(visibility=0.99))
         assert theta_hat == pytest.approx(math.pi / 3, abs=1e-12)
 
     def test_flat_likelihood_returns_branch_midpoint(self):
         counts = np.zeros(16, dtype=np.int64)
         counts[0b0111] = 10  # threefold only: informative, no coincidences
         with pytest.warns(DegenerateEstimateWarning, match="flat"):
-            theta_hat = mle_phase(Tally(counts=counts),
-                                  FringeFit.ideal(visibility=0.9))
+            theta_hat = mle_one(Tally(counts=counts),
+                                FringeFit.ideal(visibility=0.9))
         assert theta_hat == pytest.approx(math.pi / 6, abs=1e-12)
-
-    def test_empty_tally_rejected(self):
-        with pytest.raises(EmptyStatisticsError):
-            mle_phase(Tally(), FringeFit.ideal())
-
-    def test_category_vector_input_matches_tally_input(self):
-        quartet = coincidence_probs(1.1, 0.9)
-        tally = tally_from_quartet(quartet)
-        cal = FringeFit.ideal(visibility=0.9)
-        vec = np.array([tally[p] for p in COINCIDENCE_PATTERNS])
-        assert mle_phase(vec, cal) == pytest.approx(mle_phase(tally, cal),
-                                                    abs=1e-12)
-
-    def test_category_vector_validation(self):
-        cal = FringeFit.ideal()
-        with pytest.raises(ConfigurationError):
-            mle_phase(np.array([1, 2, 3]), cal)
 
 
 class TestEstimateBlocks:
@@ -452,11 +441,9 @@ class TestEstimateBlocks:
                                  rng=rng)
         cal = FringeFit.ideal(visibility=V_EFF_240)
         batch = estimate_blocks(run.block_counts, cal)
-        coinc_slots = [run.informative_patterns.index(p)
-                       for p in COINCIDENCE_PATTERNS]
         for i in range(6):
-            vec = run.block_counts[i, coinc_slots]
-            assert batch[i] == pytest.approx(mle_phase(vec, cal), abs=1e-10)
+            one = estimate_blocks(run.block_counts[i:i + 1], cal)[0]
+            assert batch[i] == pytest.approx(one, abs=1e-10)
 
     def test_crb_saturation_on_ideal_run(self):
         source = SourceParams(mu=1e-3, visibility=1.0)
@@ -465,7 +452,7 @@ class TestEstimateBlocks:
         run = sample_blocked_run(source, eff, math.pi / 2, k_bar=900, s=500,
                                  rng=rng)
         ests = estimate_blocks(run.block_counts, FringeFit.ideal())
-        stats = block_stats(ests, k_bar=900)
+        stats = block_stats(ests)
         bound = crb(900, effective_fi(fisher_matrix(math.pi / 2, 1.0)))
         ratio = stats.delta_hat / bound
         assert 0.95 < ratio < 1.05
@@ -478,7 +465,7 @@ class TestEstimateBlocks:
         run = sample_blocked_run(source, eff, math.pi / 2, k_bar=900, s=500,
                                  rng=rng)
         ests = estimate_blocks(run.block_counts, FringeFit.ideal())
-        stats = block_stats(ests, k_bar=900)
+        stats = block_stats(ests)
         pull = (np.mean(ests) - math.pi / 6) / (stats.delta_hat / math.sqrt(500))
         assert abs(pull) < 4.0
 
@@ -878,9 +865,8 @@ class TestGridFree:
 
 class TestBlockStats:
     def test_four_point_example(self):
-        stats = block_stats([0.1, 0.2, 0.3, 0.4], k_bar=100)
+        stats = block_stats([0.1, 0.2, 0.3, 0.4])
         assert stats.s == 4
-        assert stats.k_bar == 100
         assert stats.delta_hat == pytest.approx(0.1290994449, abs=1e-10)
         assert stats.delta_err == pytest.approx(0.0527046277, abs=1e-10)
 
@@ -897,7 +883,7 @@ class TestBlockStats:
         rng = np.random.default_rng(3)
         values = rng.normal(size=1579)
         values *= 0.00536 / values.std(ddof=1)
-        stats = block_stats(values, k_bar=4750)
+        stats = block_stats(values)
         assert stats.s == 1579
         assert stats.delta_hat == pytest.approx(0.00536, rel=1e-12)
         assert stats.delta_err == pytest.approx(9.5e-5, abs=5e-7)
@@ -911,7 +897,7 @@ class TestBlockStats:
         rng = np.random.default_rng(11)
         sigma = 0.0048
         values = rng.normal(math.pi / 6, sigma, size=1579)
-        stats = block_stats(values, k_bar=4750)
+        stats = block_stats(values)
         assert abs(stats.delta_hat - sigma) < 4 * stats.delta_err
 
     def test_too_few_estimates_rejected(self):

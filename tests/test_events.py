@@ -109,28 +109,6 @@ class TestTally:
         clicks = t.channel_clicks()
         assert clicks == {"A1": 3, "A2": 1, "B1": 2, "B2": 1}
 
-    def test_merge_monoid(self):
-        rng = np.random.default_rng(4)
-        parts = [
-            Tally.from_patterns(rng.integers(0, 16, size=500), setting_index=1)
-            for _ in range(3)
-        ]
-        a, b, c = parts
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a + Tally(setting_index=1) == a
-
-    def test_merge_requires_matching_setting(self):
-        with pytest.raises(ConfigurationError):
-            Tally().merge(Tally(setting_index=1))
-
-    def test_merge_overflow_guard(self):
-        big = np.zeros(16, dtype=np.int64)
-        big[5] = np.iinfo(np.int64).max - 1
-        t = Tally(big)
-        with pytest.raises(OverflowError):
-            t.merge(Tally.from_patterns([5, 5]))
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Tally(np.full(16, -1))

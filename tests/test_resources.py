@@ -280,7 +280,7 @@ class TestPrecisionReport:
     def make_stats(self):
         rng = np.random.default_rng(5)
         values = rng.normal(math.pi / 6, 0.005, size=400)
-        return block_stats(values, k_bar=4750)
+        return block_stats(values)
 
     def test_assemble_consistency(self):
         stats = self.make_stats()

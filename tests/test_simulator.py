@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 
 from entsense import simulator
-from entsense.errors import ConfigurationError, DomainError, EmptyStatisticsError
+from entsense.errors import ConfigurationError, EmptyStatisticsError
 from entsense.events import Tally, coincidence_fractions
 from entsense.model import (
     INFORMATIVE_PATTERNS,
@@ -116,19 +116,6 @@ class TestSamplePulse:
         sigma = np.sqrt(want * (1 - want) / n)
         np.testing.assert_array_less(np.abs(emp - want), 4 * sigma)
 
-    def test_calibration_routing_branch(self):
-        rng = stream_generator(13, LANE_PULSES)
-        n = 10**6
-        patterns, _ = sample_patterns(
-            SRC_240M, EFF_240M, 0.4, rng, n, routing="calibration"
-        )
-        emp = np.bincount(patterns, minlength=N_PATTERNS) / n
-        want = pattern_distribution(SRC_240M, EFF_240M, 0.4, routing="calibration").probs
-        sigma = np.sqrt(want * (1 - want) / n) + 1e-12
-        np.testing.assert_array_less(np.abs(emp - want), 5 * sigma)
-        # cross-channel coincidences hardly occur in calibration routing
-        assert emp[0b1001] == 0.0 or emp[0b1001] < 1e-4
-
     def test_chi_square_regression_seeds(self):
         # fixed regression seed set; failures here mean the sampler and
         # the analytic distribution diverged, not bad luck
@@ -140,11 +127,11 @@ class TestSamplePulse:
             assert p > 1e-3
 
 
-def reference_sample_patterns(source, eff, u, rng, n, routing="sensing"):
+def reference_sample_patterns(source, eff, u, rng, n):
     # the pulse path as first written: searchsorted plus clip over every
     # pulse, kept as the reference the emitting-only kernel must equal
     cum_pairs = np.cumsum(source.pair_weights())
-    cum_route = np.cumsum(route_probs(u, source.visibility, routing))
+    cum_route = np.cumsum(route_probs(u, source.visibility))
     eta = eff.as_array()
     m = np.searchsorted(cum_pairs, rng.random(n), side="right")
     np.clip(m, 0, source.n_max, out=m)
@@ -187,14 +174,13 @@ class TestEmittingKernel:
 
     @pytest.mark.parametrize("mu", [0.0, 0.0025, 0.1])
     @pytest.mark.parametrize("n", [0, 1, 1000])
-    @pytest.mark.parametrize("routing", ["sensing", "calibration"])
-    def test_matches_reference_draws(self, mu, n, routing):
+    def test_matches_reference_draws(self, mu, n):
         src = SourceParams(mu=mu, visibility=0.9804, n_max=4)
         got_rng = stream_generator(17, LANE_PULSES, 2, n)
         want_rng = stream_generator(17, LANE_PULSES, 2, n)
-        patterns, m = sample_patterns(src, EFF_240M, 1.1, got_rng, n, routing)
+        patterns, m = sample_patterns(src, EFF_240M, 1.1, got_rng, n)
         want_patterns, want_m = reference_sample_patterns(
-            src, EFF_240M, 1.1, want_rng, n, routing)
+            src, EFF_240M, 1.1, want_rng, n)
         assert patterns.dtype == np.uint8 and m.dtype == np.int16
         np.testing.assert_array_equal(patterns, want_patterns)
         np.testing.assert_array_equal(m, want_m)
@@ -574,18 +560,6 @@ class TestRunExperiment:
             self.make_config(chunk_size=0)
         with pytest.raises(ConfigurationError):
             self.make_config(seed=-1)
-        with pytest.raises(ConfigurationError):
-            self.make_config(routing="both")
-
-    def test_nonstandard_pass_counts_rejected_at_run_time(self, tmp_path):
-        # every setting is checked before the log is opened: a bad second
-        # setting leaves no log holding the first setting's rows
-        cfg = self.make_config(settings=(PhaseSetting(0.9, 0.0),
-                                         PhaseSetting(0.1, 0.2, pass_counts=(3, 2))))
-        path = tmp_path / "events.csv"
-        with pytest.raises(DomainError):
-            run_experiment(cfg, event_log=path)
-        assert not path.exists()
 
 
 def random_log_text(rng, pulses=600):
