@@ -12,7 +12,7 @@ Layout:
 
 - :mod:`entsense.model`       closed-form probabilities and Fisher analysis
 - :mod:`entsense.simulator`   deterministic Monte Carlo click generation
-- :mod:`entsense.events`      taxonomy, tallies, efficiency estimation
+- :mod:`entsense.events`      taxonomy and tallies
 - :mod:`entsense.estimation`  fringe fits, phase MLE, block statistics
 - :mod:`entsense.resources`   photon accounting, SNL/HL, dB metric
 - :mod:`entsense.randomphase` precision and threshold scans, blind trials
@@ -49,7 +49,6 @@ from .events import (
     Tally,
     classify,
     coincidence_fractions,
-    estimate_efficiencies,
     write_tally_csv,
 )
 from .simulator import (
@@ -67,7 +66,6 @@ from .estimation import (
     FringeFit,
     block_stats,
     estimate_blocks,
-    fisher_from_precision,
     fit_fringe,
     fold_to_branch,
 )
@@ -147,8 +145,6 @@ __all__ = [
     "draw_phase_settings",
     "effective_fi",
     "estimate_blocks",
-    "estimate_efficiencies",
-    "fisher_from_precision",
     "fisher_matrix",
     "fisher_per_informative_event",
     "fit_fringe",

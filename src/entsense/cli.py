@@ -9,10 +9,10 @@ sweeps a uniform efficiency looking for the shot-noise crossing,
 ``random-phase`` runs the unknown-phase protocol against bit-sourced
 truths, and ``audit`` re-derives tallies and photon accounting from an
 event log.  Every run resolves one JSON config (or a shipped preset),
-derives all randomness from the single seed in that config, and writes a
-``manifest.json`` whose embedded config echo replays the run: feeding a
-manifest back through --config reproduces every data file byte for byte
-(the fresh manifest itself records its own new timestamp).
+derives all randomness from the single seed in that config, and on success
+writes a ``manifest.json`` after the data files; its config echo replays
+the run: feeding a manifest back through --config reproduces every data
+file byte for byte (the fresh manifest records its own new timestamp).
 
 Output files per subcommand, all in the --out directory:
 
@@ -48,7 +48,7 @@ from .config import (
     load_preset,
     parse_config,
 )
-from .errors import ConfigurationError, EntsenseError
+from .errors import ConfigurationError, EmptyStatisticsError, EntsenseError
 from .estimation import fit_fringe
 from .events import coincidence_fractions, write_tally_csv
 from .model import PhaseSetting, pattern_distribution
@@ -94,6 +94,9 @@ def _analytic_rows(source, eff, thetas):
     for t in thetas:
         dist = pattern_distribution(source, eff, 3.0 * t)
         p_inf = dist.informative_probability()
+        if p_inf == 0.0:
+            raise EmptyStatisticsError(f"informative probability is zero at theta={t!r}; "
+                                       "coincidence fractions undefined")
         rows.append((t, tuple(float(p) / p_inf for p in dist.coincidence_quartet()),
                      p_inf))
     return rows
@@ -128,20 +131,17 @@ def _load_run_config(args):
     return config, config_path
 
 
-def _prepare_out(args, subcommand, config, config_path):
+def _prepare_out(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.create(subcommand, config_path, config, out, __version__)
-    manifest.to_json(out / "manifest.json")
     return out
 
 
-def cmd_fringe(args):
-    config, config_path = _load_run_config(args)
+def cmd_fringe(args, config):
     scan = config.require("scan")
     eff = config.require("efficiency")
     source = config.source
-    out = _prepare_out(args, "fringe", config, config_path)
+    out = _prepare_out(args)
     thetas = scan.setpoints()
 
     if scan.analytic:
@@ -172,16 +172,14 @@ def cmd_fringe(args):
         f"fringe: {len(thetas)} setpoints, fitted visibility "
         f"{fit.visibility_hat:.6f} +/- {err:.2e} -> {out / 'fringe_fit.json'}"
     )
-    return 0
 
 
-def cmd_precision(args):
-    config, config_path = _load_run_config(args)
+def cmd_precision(args, config):
     scan = config.require("scan")
     blocks = config.require("blocks")
     eff = config.require("efficiency")
     source = config.source
-    out = _prepare_out(args, "precision", config, config_path)
+    out = _prepare_out(args)
     calibration = analytic_calibration(source, eff)
     thetas, measurements, peak = precision_scan(
         source, eff, calibration, scan.points, blocks.k_bar, blocks.s,
@@ -212,15 +210,13 @@ def cmd_precision(args):
         f"precision: {len(thetas)} setpoints, peak {doc['peak']['db_below_snl']:+.4f} dB "
         f"vs SNL at theta_hat={thetas[peak]:.4f} -> {out / 'precision.json'}"
     )
-    return 0
 
 
-def cmd_threshold_scan(args):
-    config, config_path = _load_run_config(args)
+def cmd_threshold_scan(args, config):
     scan = config.require("scan")
     source = config.source
     etas = scan.eta_points()
-    out = _prepare_out(args, "threshold-scan", config, config_path)
+    out = _prepare_out(args)
 
     rows, (slope, intercept, crossing) = threshold_scan(
         source, etas, scan.pulses_per_point, seed=config.seed)
@@ -243,15 +239,13 @@ def cmd_threshold_scan(args):
         f"(lossless-limit threshold {threshold_efficiency():.4f}) -> "
         f"{out / 'threshold.json'}"
     )
-    return 0
 
 
-def cmd_random_phase(args):
-    config, config_path = _load_run_config(args)
+def cmd_random_phase(args, config):
     blocks = config.require("blocks")
     eff = config.require("efficiency")
     source = config.source
-    out = _prepare_out(args, "random-phase", config, config_path)
+    out = _prepare_out(args)
     calibration = analytic_calibration(source, eff)
     trial_set = run_random_phase_experiment(
         source, eff, calibration, blocks.num_phases, blocks.k_bar, blocks.s,
@@ -276,15 +270,13 @@ def cmd_random_phase(args):
         )
     else:
         print(f"random-phase: 0 trials -> {out / 'random_phase.json'}")
-    return 0
 
 
-def cmd_audit(args):
-    config, config_path = _load_run_config(args)
+def cmd_audit(args, config):
     eff = config.require("efficiency")
     source = config.source
     result = read_event_log(args.log)
-    out = _prepare_out(args, "audit", config, config_path)
+    out = _prepare_out(args)
     write_tally_csv(result.tallies, out / "tallies.csv")
     merged = ResourceAudit.from_tallies(result.tallies, source, eff)
     truth_passes = 3.0 * float(sum(result.truth_pairs))
@@ -315,7 +307,6 @@ def cmd_audit(args):
         f"audit: {len(result.tallies)} settings, n={merged.n:.6g} "
         f"({rel_text} vs truth passes) -> {out / 'audit.json'}"
     )
-    return 0
 
 
 def _worker_count(text):
@@ -399,7 +390,13 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.subcommand](args)
+        config, config_path = _load_run_config(args)
+        _COMMANDS[args.subcommand](args, config)
+        # written last, so only a run that succeeded leaves a manifest
+        out = Path(args.out)
+        RunManifest.create(args.subcommand, config_path, config, out,
+                           __version__).to_json(out / "manifest.json")
+        return 0
     except EntsenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

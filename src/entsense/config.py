@@ -4,8 +4,8 @@ A run is described by one JSON document with sections `source`,
 `efficiency`, `scan`, `blocks`, and a top-level `seed`; which sections a
 subcommand needs is declared per subcommand, and validation errors name
 the offending key with its full dotted path so a broken config points at
-itself.  Every run writes a manifest that echoes the fully resolved
-document, and a manifest fed back as a config replays the run.
+itself.  Every run that succeeds writes a manifest that echoes the fully
+resolved document, and a manifest fed back as a config replays the run.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from importlib import resources as importlib_resources
 
 from .errors import ConfigurationError
 from .model import CHANNELS, EfficiencyBudget, SourceParams
+from .simulator import MAX_PULSES_PER_SETTING
 
 __all__ = [
     "PRESET_NAMES",
@@ -214,7 +215,7 @@ def _parse_scan(doc):
     if not span[0] < span[1]:
         _fail("scan.span", f"must satisfy low < high, got {list(span)}")
     pulses = _integer(sec, "pulses_per_point", "scan.", minimum=1,
-                      default=ScanSpec.pulses_per_point)
+                      maximum=MAX_PULSES_PER_SETTING, default=ScanSpec.pulses_per_point)
     analytic = sec.get("analytic", ScanSpec.analytic)
     if not isinstance(analytic, bool):
         _fail("scan.analytic", "expected a boolean")

@@ -40,7 +40,6 @@ __all__ = [
     "estimate_blocks",
     "BlockStats",
     "block_stats",
-    "fisher_from_precision",
 ]
 
 
@@ -423,14 +422,3 @@ def block_stats(estimates):
     delta_err = delta_hat / math.sqrt(2.0 * (s - 1))
     return BlockStats(s=s, delta_hat=delta_hat, delta_err=delta_err)
 
-
-def fisher_from_precision(delta_hat, k_bar):
-    """Effective Fisher information implied by a measured precision.
-
-    Inverts delta = 1/sqrt(k * F): F = 1/(delta^2 * k).
-    """
-    if not (math.isfinite(delta_hat) and delta_hat > 0.0):
-        raise DomainError(f"delta_hat must be > 0, got {delta_hat}")
-    if not (math.isfinite(k_bar) and k_bar >= 1):
-        raise DomainError(f"k_bar must be >= 1, got {k_bar}")
-    return 1.0 / (delta_hat * delta_hat * k_bar)

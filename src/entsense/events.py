@@ -1,4 +1,4 @@
-"""Event taxonomy, tallies, and count-based efficiency estimation.
+"""Event taxonomy and tallies.
 
 Every pulse yields a 4-bit click pattern (see :mod:`entsense.model` for the
 bit layout).  The sixteen patterns are classified into one no-click outcome
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping
-import warnings
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "classify",
     "Tally",
     "coincidence_fractions",
-    "estimate_efficiencies",
     "write_tally_csv",
 ]
 
@@ -232,51 +230,6 @@ def coincidence_fractions(tally: Tally) -> tuple[float, float, float, float]:
             "no informative events in tally; coincidence fractions undefined"
         )
     return tuple(c / c_sum for c in tally.coincidence_counts())
-
-
-def estimate_efficiencies(tally: Tally) -> dict[str, float]:
-    """Count-based heralding-efficiency estimates from a calibration tally.
-
-    In calibration routing each pair is channel-anticorrelated (a B1 click
-    heralds an A1 photon deterministically and vice versa), so the exact
-    twofold coincidences divided by the partner channel's singles-inclusive
-    total estimate the per-channel efficiencies:
-
-        eta_A1 = C(A1B1) / N(B1)    eta_B1 = C(A1B1) / N(A1)
-        eta_A2 = C(A2B2) / N(B2)    eta_B2 = C(A2B2) / N(A2)
-
-    Estimates can overshoot 1 on small samples; that is flagged with a
-    warning rather than clipped.  Applying this to a sensing-mode tally
-    gives meaningless numbers (the partner channel is only half
-    predictable), which is the caller's contract to respect.
-    """
-    c11 = tally[EventType.A1B1]
-    c22 = tally[EventType.A2B2]
-    n = tally.channel_clicks()
-    pairs = {
-        "A1": (c11, "B1"),
-        "B1": (c11, "A1"),
-        "A2": (c22, "B2"),
-        "B2": (c22, "A2"),
-    }
-    estimates: dict[str, float] = {}
-    for channel, (coincidences, partner) in pairs.items():
-        denom = n[partner]
-        if denom == 0:
-            raise EmptyStatisticsError(
-                f"no clicks on channel {partner}; cannot estimate "
-                f"efficiency of {channel}"
-            )
-        estimates[channel] = coincidences / denom
-    overshoot = [ch for ch, e in estimates.items() if e > 1.0]
-    if overshoot:
-        warnings.warn(
-            f"efficiency estimate above 1 for {', '.join(sorted(overshoot))}; "
-            "sample too small or tally not from a calibration run",
-            UserWarning,
-            stacklevel=2,
-        )
-    return estimates
 
 
 _TALLY_HEADER = ("setting_index", "event_type", "count")

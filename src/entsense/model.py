@@ -58,7 +58,6 @@ __all__ = [
     "pattern_bits",
     "pattern_distribution",
     "pattern_is_informative",
-    "route_probs",
 ]
 
 N_PATTERNS = 16
@@ -236,22 +235,6 @@ def _coincidence_derivs(u, visibility):
     return np.array([vs, -vs, -vs, vs]) / 4.0
 
 
-def route_probs(u, visibility, routing="sensing"):
-    """Per-pair routing distribution over (A1B1, A1B2, A2B1, A2B2).
-
-    "sensing" is the interference law above.  "calibration" models the
-    efficiency-measurement configuration, where the analyzers are set so
-    each pair routes with deterministic channel anti-correlation: a B1
-    photon heralds an A1 partner and vice versa, (1/2, 0, 0, 1/2) with
-    no phase dependence.
-    """
-    if routing == "sensing":
-        return coincidence_probs(u, visibility)
-    if routing == "calibration":
-        return np.array([0.5, 0.0, 0.0, 0.5])
-    raise ConfigurationError(f"routing must be 'sensing' or 'calibration', got {routing!r}")
-
-
 @dataclass(frozen=True)
 class ClickDistribution:
     """Exact per-pulse probability over the 16 click patterns."""
@@ -321,7 +304,7 @@ def _mobius_invert(values):
     return out
 
 
-def pattern_distribution(source, eff, u, *, routing="sensing", with_derivative=False):
+def pattern_distribution(source, eff, u, *, with_derivative=False):
     """Exact click-pattern distribution of one pulse, and optionally d/du.
 
     Built by subset closure: for each channel subset T the probability
@@ -331,7 +314,7 @@ def pattern_distribution(source, eff, u, *, routing="sensing", with_derivative=F
     derivative path pushes d/du through the same transform, which is
     linear.
     """
-    p_route = route_probs(u, source.visibility, routing)
+    p_route = coincidence_probs(u, source.visibility)
     eta = eff.as_array()
     q = _single_pair_closure(eta, p_route)
     w = source.pair_weights()
@@ -341,8 +324,6 @@ def pattern_distribution(source, eff, u, *, routing="sensing", with_derivative=F
     dist = ClickDistribution(probs=probs)
     if not with_derivative:
         return dist
-    if routing == "calibration":
-        return dist, np.zeros(N_PATTERNS)
     dp_route = _coincidence_derivs(u, source.visibility)
     dq = _single_pair_closure(eta, dp_route)  # closure is linear in the route law
     # d closure/du = (sum_m w_m m q^(m-1)) * dq

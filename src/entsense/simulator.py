@@ -66,6 +66,7 @@ __all__ = [
     "LANE_TALLY",
     "LANE_BLOCKS",
     "LANE_BITS",
+    "MAX_PULSES_PER_SETTING",
     "ExperimentConfig",
     "ExperimentResult",
     "BlockedRunSample",
@@ -87,6 +88,9 @@ LANE_BLOCKS = 2  # blocked-run shortcut
 LANE_BITS = 3  # random-bit source (phase QRNG stand-in)
 
 _DEFAULT_CHUNK = 1 << 20
+_CHUNK_LIMIT = 1 << 32  # chunk indices the stream key's low 32 bits hold
+# the most pulses a setting can draw at the default chunk size
+MAX_PULSES_PER_SETTING = (_CHUNK_LIMIT - 1) * _DEFAULT_CHUNK
 _LOG_SLICE = 1 << 13  # rows formatted at once; sizes the writer's buffers
 _LOG_CHARS = 1 << 18  # characters read at once; bounds the reader's text block
 _ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
@@ -123,7 +127,7 @@ def stream_generator(seed, lane, setting_index=0, chunk_index=0):
         raise ConfigurationError(
             f"setting_index must be in [0, 2^24), got {setting_index}"
         )
-    if not 0 <= chunk_index < 2**32:
+    if not 0 <= chunk_index < _CHUNK_LIMIT:
         raise ConfigurationError(f"chunk_index must be in [0, 2^32), got {chunk_index}")
     word = (lane << 56) | (setting_index << 32) | chunk_index
     return np.random.Generator(np.random.Philox(key=[seed, word]))
@@ -168,7 +172,7 @@ class ExperimentConfig:
         if len(settings) >= 2**24:
             raise ConfigurationError("too many settings for the stream layout")
         n_chunks = -(-self.pulses_per_setting // self.chunk_size)
-        if n_chunks >= 2**32:
+        if n_chunks >= _CHUNK_LIMIT:
             raise ConfigurationError("too many chunks for the stream layout")
 
 
@@ -616,39 +620,3 @@ def sample_blocked_run(source, eff, u, k_bar, s, rng, setting_index=0):
         pulses=k_bar * s + failures,
     )
 
-
-def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,
-                                   setting_index=0, chunk=1 << 18):
-    """Reference blocked acquisition on the explicit pulse path.
-
-    Streams pulses until the (k_bar*s)-th informative event, trims at
-    exactly that pulse, and cuts blocks by informative arrival order.
-    Slower than sample_blocked_run by orders of magnitude; exists to
-    cross-validate the factorized sampler.
-    """
-    if k_bar < 1 or s < 1:
-        raise ConfigurationError("blocked run needs k_bar >= 1 and s >= 1")
-    need = k_bar * s
-    codes = []
-    counts = np.zeros(N_PATTERNS, dtype=np.int64)
-    collected = 0
-    pulses = 0
-    while collected < need:
-        patterns, _ = sample_patterns(source, eff, u, rng, chunk)
-        keep_mask = _SLOT_OF_PATTERN[patterns] >= 0
-        kept = patterns[keep_mask]
-        if collected + len(kept) >= need:
-            # trim the chunk at the pulse carrying the final needed event
-            take = need - collected
-            cut = int(np.nonzero(keep_mask)[0][take - 1]) + 1
-            patterns = patterns[:cut]
-            kept = kept[:take]
-        counts += np.bincount(patterns, minlength=N_PATTERNS)
-        codes.append(kept)
-        collected += len(kept)
-        pulses += len(patterns)
-    return BlockedRunSample(
-        block_counts=cut_blocks(np.concatenate(codes), k_bar, s),
-        tally=Tally(counts, setting_index=setting_index),
-        pulses=pulses,
-    )

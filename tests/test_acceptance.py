@@ -7,9 +7,10 @@ criteria" section at the end of the pytest run (hook in conftest.py),
 so the verdict survives output capture.
 
 Budgets are wall-clock upper bounds from the criteria list; the whole
-gate is dominated by the resource-formula grid (criterion 6, about a
-minute of pulse-level tallying) and finishes well inside the summed
-budgets on commodity hardware.
+gate is dominated by the resource-formula grid (criterion 6, 29-37 s
+of pulse-level tallying on 2 cores, about 80% of the full suite's
+37-47 s) and finishes well inside the summed budgets on commodity
+hardware.
 
 Expected values follow one of two disciplines. Closed-form targets
 (the ideal Fisher information, 10*log10(3), the 1/sqrt(3) efficiency

@@ -187,8 +187,9 @@ class TestConfigErrors:
         ("scan.eta_range", [0.5, True]),
         ("seed", 2**64),
         ("source.mu", 10**400),
+        ("scan.pulses_per_point", 2**62),
     ], ids=["span-booleans", "span-infinity", "eta_range-boolean", "seed-65-bits",
-            "mu-beyond-float"])
+            "mu-beyond-float", "pulses-beyond-stream-layout"])
     def test_bad_value_rejected_before_any_output(self, tmp_path, capsys, key,
                                                   value):
         doc = fringe_doc()
@@ -492,6 +493,28 @@ class TestRandomPhaseCommand:
                      "--out", str(out2)]) == 0
         for name in ("trials.csv", "random_phase.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestLateFailure:
+    @pytest.mark.parametrize("subcommand, analytic", [
+        ("precision", False),
+        ("random-phase", False),
+        ("fringe", True),
+        ("fringe", False),
+    ])
+    def test_zero_mu_exits_cleanly_without_manifest(self, tmp_path, capsys,
+                                                    subcommand, analytic):
+        # no pair is ever emitted, so no informative event can occur
+        doc = load_preset("paper-240m").raw
+        doc["source"]["mu"] = 0
+        doc["scan"].update(analytic=analytic, pulses_per_point=10_000)
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "informative" in err
+        assert not (out / "manifest.json").exists()
 
 
 def make_log(tmp_path, pulses=120_000, points=5):

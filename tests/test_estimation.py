@@ -30,7 +30,6 @@ from entsense.estimation import (
     FringeFit,
     block_stats,
     estimate_blocks,
-    fisher_from_precision,
     fit_fringe,
 )
 from entsense.events import Tally
@@ -906,21 +905,3 @@ class TestBlockStats:
         with pytest.raises(DomainError):
             block_stats([])
 
-
-class TestFisherFromPrecision:
-    def test_recovers_published_bound_information(self):
-        assert fisher_from_precision(0.0048365083, 4750) == pytest.approx(
-            9.0, abs=3e-7)
-
-    def test_inverts_crb(self):
-        bound = crb(1234, 7.7)
-        assert fisher_from_precision(bound, 1234) == pytest.approx(7.7,
-                                                                  rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            fisher_from_precision(0.0, 100)
-        with pytest.raises(DomainError):
-            fisher_from_precision(-1.0, 100)
-        with pytest.raises(DomainError):
-            fisher_from_precision(0.01, 0)

@@ -1,12 +1,8 @@
-"""Taxonomy, tally, and efficiency-estimator tests.
+"""Taxonomy and tally tests.
 
 Sampled cross-checks against the simulator live in test_simulator; here
-everything is exact, with the analytic pattern distribution serving as the
-infinite-statistics oracle for the efficiency estimator's multi-pair bias.
+everything is exact.
 """
-
-import math
-import warnings
 
 import numpy as np
 import pytest
@@ -19,24 +15,8 @@ from entsense.events import (
     Tally,
     classify,
     coincidence_fractions,
-    estimate_efficiencies,
     write_tally_csv,
 )
-from entsense.model import (
-    CHANNELS,
-    EfficiencyBudget,
-    SourceParams,
-    pattern_distribution,
-)
-
-ETA_240M = {"A1": 0.7432, "A2": 0.7667, "B1": 0.7477, "B2": 0.6974}
-
-
-def expected_tally(mu, eta, routing, scale=10**12, u=0.37):
-    """Tally whose counts are the analytic expectation at huge statistics."""
-    src = SourceParams(mu=mu, visibility=0.98, n_max=4)
-    dist = pattern_distribution(src, EfficiencyBudget(eta=eta), u, routing=routing)
-    return Tally(np.rint(dist.probs * scale).astype(np.int64))
 
 
 class TestTaxonomy:
@@ -141,58 +121,6 @@ class TestCoincidenceFractions:
     def test_fractions_do_not_always_sum_to_one(self):
         t = Tally.from_counts({"A1B1": 10, "A1A2B1": 5})
         assert sum(coincidence_fractions(t)) == pytest.approx(10 / 15)
-
-
-class TestEstimateEfficiencies:
-    def test_lossless_calibration_is_exact(self):
-        # eta=1, mu->0: every pair clicks both partner channels, nothing else
-        t = Tally.from_counts({"A1B1": 5000, "A2B2": 5000, "NoClick": 10**6})
-        assert estimate_efficiencies(t) == {
-            "A1": 1.0, "A2": 1.0, "B1": 1.0, "B2": 1.0,
-        }
-
-    def test_zero_denominator(self):
-        t = Tally.from_counts({"A1B1": 10})
-        with pytest.raises(EmptyStatisticsError):
-            # B2 never clicked, so A2's estimate has an empty denominator
-            estimate_efficiencies(t)
-
-    def test_recovers_configured_eta_at_vanishing_mu(self):
-        t = expected_tally(1e-9, ETA_240M, "calibration", scale=10**17)
-        est = estimate_efficiencies(t)
-        for ch in CHANNELS:
-            assert est[ch] == pytest.approx(ETA_240M[ch], abs=1e-6)
-
-    def test_multipair_bias_sign_and_magnitude(self):
-        # The estimator is biased low at mu > 0: extra pairs promote exact
-        # twofolds into threefolds/fourfolds, deflating the numerator faster
-        # than the singles-inclusive denominator.  Slope is ~ -0.26..-0.30
-        # per unit mu at these efficiencies.
-        for mu in (0.0025, 0.056, 0.1):
-            est = estimate_efficiencies(expected_tally(mu, ETA_240M, "calibration"))
-            for ch in CHANNELS:
-                bias = est[ch] - ETA_240M[ch]
-                assert bias < 0.0
-                assert 0.20 * mu < -bias < 0.35 * mu
-
-    def test_bias_regression_value(self):
-        # Frozen from the analytic expectation at the 240 m working point.
-        est = estimate_efficiencies(expected_tally(0.056, ETA_240M, "calibration"))
-        assert est["A1"] - ETA_240M["A1"] == pytest.approx(-0.015848, abs=2e-5)
-
-    def test_estimates_structurally_bounded(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            counts = rng.integers(0, 1000, size=16)
-            t = Tally(counts)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    est = estimate_efficiencies(t)
-            except EmptyStatisticsError:
-                continue
-            for value in est.values():
-                assert 0.0 <= value <= 1.0
 
 
 class TestTallyCsv:

@@ -34,17 +34,13 @@ from entsense.model import (
     global_phase,
     pattern_distribution,
     pattern_is_informative,
-    route_probs,
 )
 
 
-def brute_pattern_distribution(mu, visibility, eta, u, n_max, routing="sensing"):
+def brute_pattern_distribution(mu, visibility, eta, u, n_max):
     """Enumerate every per-pair outcome combination explicitly."""
-    if routing == "sensing":
-        vc = visibility * math.cos(u)
-        route_p = [(1 - vc) / 4, (1 + vc) / 4, (1 + vc) / 4, (1 - vc) / 4]
-    else:
-        route_p = [0.5, 0.0, 0.0, 0.5]
+    vc = visibility * math.cos(u)
+    route_p = [(1 - vc) / 4, (1 + vc) / 4, (1 + vc) / 4, (1 - vc) / 4]
     route_bits = [(0, 2), (0, 3), (1, 2), (1, 3)]  # (alice bit, bob bit)
     raw = [math.exp(-mu) * mu**m / math.factorial(m) for m in range(n_max + 1)]
     weights = [x / sum(raw) for x in raw]
@@ -167,48 +163,35 @@ class TestCoincidenceProbs:
         with pytest.raises(DomainError):
             coincidence_probs(0.3, 1.5)
 
-    def test_calibration_routing_is_anticorrelated(self):
-        np.testing.assert_array_equal(
-            route_probs(0.3, 0.9, "calibration"), [0.5, 0.0, 0.0, 0.5]
-        )
-        with pytest.raises(ConfigurationError):
-            route_probs(0.3, 0.9, "sideways")
-
 
 PATTERN_CASES = [
-    # (mu, V, eta dict, u, n_max, routing)
-    (0.0025, 1.0, dict.fromkeys(CHANNELS, 1.0), 0.0, 2, "sensing"),
+    # (mu, V, eta dict, u, n_max)
+    (0.0025, 1.0, dict.fromkeys(CHANNELS, 1.0), 0.0, 2),
     (0.056, 0.9804, {"A1": 0.7432, "A2": 0.7667, "B1": 0.7477, "B2": 0.6974},
-     math.pi / 2, 4, "sensing"),
+     math.pi / 2, 4),
     (0.072, 0.9586, {"A1": 0.5810, "A2": 0.6046, "B1": 0.5837, "B2": 0.5284},
-     1.1, 4, "sensing"),
-    (0.15, 0.5, {"A1": 0.9, "A2": 0.2, "B1": 0.55, "B2": 0.7}, 2.5, 4, "sensing"),
-    (0.056, 0.0, {"A1": 0.3, "A2": 0.8, "B1": 0.6, "B2": 0.4}, -1.2, 3, "sensing"),
-    (0.056, 0.9804, {"A1": 0.7432, "A2": 0.7667, "B1": 0.7477, "B2": 0.6974},
-     0.7, 4, "calibration"),
+     1.1, 4),
+    (0.15, 0.5, {"A1": 0.9, "A2": 0.2, "B1": 0.55, "B2": 0.7}, 2.5, 4),
+    (0.056, 0.0, {"A1": 0.3, "A2": 0.8, "B1": 0.6, "B2": 0.4}, -1.2, 3),
 ]
 
 
 class TestPatternDistribution:
-    @pytest.mark.parametrize("mu,v,eta,u,n_max,routing", PATTERN_CASES)
-    def test_matches_brute_force_enumeration(self, mu, v, eta, u, n_max, routing):
+    @pytest.mark.parametrize("mu,v,eta,u,n_max", PATTERN_CASES)
+    def test_matches_brute_force_enumeration(self, mu, v, eta, u, n_max):
         src = SourceParams(mu=mu, visibility=v, n_max=n_max)
-        dist = pattern_distribution(
-            src, EfficiencyBudget(eta=eta), u, routing=routing
-        )
-        want = brute_pattern_distribution(mu, v, eta, u, n_max, routing)
+        dist = pattern_distribution(src, EfficiencyBudget(eta=eta), u)
+        want = brute_pattern_distribution(mu, v, eta, u, n_max)
         np.testing.assert_allclose(dist.probs, want, atol=1e-14)
 
-    @pytest.mark.parametrize("mu,v,eta,u,n_max,routing", PATTERN_CASES)
-    def test_derivative_matches_finite_difference(self, mu, v, eta, u, n_max, routing):
+    @pytest.mark.parametrize("mu,v,eta,u,n_max", PATTERN_CASES)
+    def test_derivative_matches_finite_difference(self, mu, v, eta, u, n_max):
         src = SourceParams(mu=mu, visibility=v, n_max=n_max)
         eff = EfficiencyBudget(eta=eta)
-        _, d_probs = pattern_distribution(
-            src, eff, u, routing=routing, with_derivative=True
-        )
+        _, d_probs = pattern_distribution(src, eff, u, with_derivative=True)
         h = 1e-6
-        plus = pattern_distribution(src, eff, u + h, routing=routing).probs
-        minus = pattern_distribution(src, eff, u - h, routing=routing).probs
+        plus = pattern_distribution(src, eff, u + h).probs
+        minus = pattern_distribution(src, eff, u - h).probs
         np.testing.assert_allclose(d_probs, (plus - minus) / (2 * h), atol=5e-9)
 
     def test_no_click_floor_at_small_mu(self):

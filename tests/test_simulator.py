@@ -26,19 +26,20 @@ from entsense.model import (
     EfficiencyBudget,
     PhaseSetting,
     SourceParams,
+    coincidence_probs,
     pattern_distribution,
-    route_probs,
 )
 from entsense.simulator import (
+    _SLOT_OF_PATTERN,
     EVENT_LOG_HEADER,
     LANE_BITS,
     LANE_PULSES,
+    BlockedRunSample,
     ExperimentConfig,
     cut_blocks,
     read_event_log,
     run_experiment,
     sample_blocked_run,
-    sample_blocked_run_pulse_level,
     sample_patterns,
     sample_tally,
     stream_generator,
@@ -131,7 +132,7 @@ def reference_sample_patterns(source, eff, u, rng, n):
     # the pulse path as first written: searchsorted plus clip over every
     # pulse, kept as the reference the emitting-only kernel must equal
     cum_pairs = np.cumsum(source.pair_weights())
-    cum_route = np.cumsum(route_probs(u, source.visibility))
+    cum_route = np.cumsum(coincidence_probs(u, source.visibility))
     eta = eff.as_array()
     m = np.searchsorted(cum_pairs, rng.random(n), side="right")
     np.clip(m, 0, source.n_max, out=m)
@@ -197,7 +198,7 @@ class TestEmittingKernel:
         # put below 1, is clipped into the last bin
         src = SourceParams(mu=mu, visibility=visibility, n_max=n_max)
         cum_pairs = np.cumsum(src.pair_weights())
-        cum_route = np.cumsum(route_probs(u, visibility))
+        cum_route = np.cumsum(coincidence_probs(u, visibility))
         for cum, top in ((cum_pairs, n_max), (cum_route, 3)):
             r = edge_values(cum)
             want = np.minimum(np.searchsorted(cum, r, side="right"), top)
@@ -805,6 +806,43 @@ class TestSampleTally:
             tally.counts, pattern_distribution(SRC_240M, EFF_240M, 0.8).probs
         )
         assert p > 1e-3
+
+
+def sample_blocked_run_pulse_level(source, eff, u, k_bar, s, rng,
+                                   setting_index=0, chunk=1 << 18):
+    """Reference blocked acquisition on the explicit pulse path.
+
+    Streams pulses until the (k_bar*s)-th informative event, trims at
+    exactly that pulse, and cuts blocks by informative arrival order.
+    Slower than sample_blocked_run by orders of magnitude; exists to
+    cross-validate the factorized sampler.
+    """
+    if k_bar < 1 or s < 1:
+        raise ConfigurationError("blocked run needs k_bar >= 1 and s >= 1")
+    need = k_bar * s
+    codes = []
+    counts = np.zeros(N_PATTERNS, dtype=np.int64)
+    collected = 0
+    pulses = 0
+    while collected < need:
+        patterns, _ = sample_patterns(source, eff, u, rng, chunk)
+        keep_mask = _SLOT_OF_PATTERN[patterns] >= 0
+        kept = patterns[keep_mask]
+        if collected + len(kept) >= need:
+            # trim the chunk at the pulse carrying the final needed event
+            take = need - collected
+            cut = int(np.nonzero(keep_mask)[0][take - 1]) + 1
+            patterns = patterns[:cut]
+            kept = kept[:take]
+        counts += np.bincount(patterns, minlength=N_PATTERNS)
+        codes.append(kept)
+        collected += len(kept)
+        pulses += len(patterns)
+    return BlockedRunSample(
+        block_counts=cut_blocks(np.concatenate(codes), k_bar, s),
+        tally=Tally(counts, setting_index=setting_index),
+        pulses=pulses,
+    )
 
 
 class TestBlockedRun:
