@@ -132,6 +132,8 @@ def _load_run_config(args):
 
 
 def _prepare_out(args):
+    """The --out directory, made once the results are in, so a run that
+    fails before its first data file leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -141,7 +143,6 @@ def cmd_fringe(args, config):
     scan = config.require("scan")
     eff = config.require("efficiency")
     source = config.source
-    out = _prepare_out(args)
     thetas = scan.setpoints()
 
     if scan.analytic:
@@ -164,6 +165,7 @@ def cmd_fringe(args, config):
         counts = [c_sum for _, _, c_sum in csv_rows]
     fit = fit_fringe([(t, fracs) for t, fracs, _ in csv_rows], counts=counts)
 
+    out = _prepare_out(args)
     dump_csv(FRINGE_CSV_HEADER, [(t, *fracs, c_sum) for t, fracs, c_sum in csv_rows],
              out / "fringe_scan.csv")
     fit.to_json(out / "fringe_fit.json")
@@ -179,13 +181,13 @@ def cmd_precision(args, config):
     blocks = config.require("blocks")
     eff = config.require("efficiency")
     source = config.source
-    out = _prepare_out(args)
     calibration = analytic_calibration(source, eff)
     thetas, measurements, peak = precision_scan(
         source, eff, calibration, scan.points, blocks.k_bar, blocks.s,
         seed=config.seed,
     )
 
+    out = _prepare_out(args)
     dump_csv(PRECISION_CSV_HEADER, [
         (t, m.report.theta_hat, m.report.delta_hat, m.report.delta_err, m.report.n,
          m.report.snl, m.report.hl, m.report.db_below_snl, int(m.extremum))
@@ -216,11 +218,10 @@ def cmd_threshold_scan(args, config):
     scan = config.require("scan")
     source = config.source
     etas = scan.eta_points()
-    out = _prepare_out(args)
-
     rows, (slope, intercept, crossing) = threshold_scan(
         source, etas, scan.pulses_per_point, seed=config.seed)
 
+    out = _prepare_out(args)
     dump_csv(THRESHOLD_CSV_HEADER, rows, out / "threshold_scan.csv")
 
     doc = {
@@ -245,12 +246,12 @@ def cmd_random_phase(args, config):
     blocks = config.require("blocks")
     eff = config.require("efficiency")
     source = config.source
-    out = _prepare_out(args)
     calibration = analytic_calibration(source, eff)
     trial_set = run_random_phase_experiment(
         source, eff, calibration, blocks.num_phases, blocks.k_bar, blocks.s,
         seed=config.seed,
     )
+    out = _prepare_out(args)
     write_trials_csv(trial_set, out / "trials.csv")
     trials_doc = [tr.as_dict() for tr in trial_set.trials]
     doc = {
@@ -276,8 +277,6 @@ def cmd_audit(args, config):
     eff = config.require("efficiency")
     source = config.source
     result = read_event_log(args.log)
-    out = _prepare_out(args)
-    write_tally_csv(result.tallies, out / "tallies.csv")
     merged = ResourceAudit.from_tallies(result.tallies, source, eff)
     truth_passes = 3.0 * float(sum(result.truth_pairs))
     doc = merged.as_dict()
@@ -299,6 +298,8 @@ def cmd_audit(args, config):
             fields = report.as_dict() if report else {"degenerate": True}
             precision.append({"setting_index": tally.setting_index, "s": s, **fields})
     doc["precision"] = precision
+    out = _prepare_out(args)
+    write_tally_csv(result.tallies, out / "tallies.csv")
     dump_json(doc, out / "audit.json")
 
     rel = doc["n_vs_truth_relative"]

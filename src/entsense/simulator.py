@@ -93,7 +93,6 @@ _CHUNK_LIMIT = 1 << 32  # chunk indices the stream key's low 32 bits hold
 MAX_PULSES_PER_SETTING = (_CHUNK_LIMIT - 1) * _DEFAULT_CHUNK
 _LOG_SLICE = 1 << 13  # rows formatted at once; sizes the writer's buffers
 _LOG_CHARS = 1 << 18  # characters read at once; bounds the reader's text block
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
 _INT64_MAX = np.iinfo(np.int64).max
 # a line and its end, as iterating a file opened with newline="" splits them:
 # at "\n", "\r\n" or "\r" (str.splitlines also splits at "\x0c" and others)
@@ -345,10 +344,8 @@ def _write_log_chunk(fh, lo, setting_index, patterns, m):
                       int(m.max(initial=0))), min(n, _LOG_SLICE))
     for start in range(0, n, _LOG_SLICE):
         stop = min(start + _LOG_SLICE, n)
-        columns = (np.arange(lo + start, lo + stop),
-                   np.full(stop - start, setting_index),
-                   patterns[start:stop], m[start:stop])
-        fh.write(table.format(columns))
+        fh.write(table.format((np.arange(lo + start, lo + stop), setting_index,
+                               patterns[start:stop], m[start:stop])))
 
 
 class _CsvRows:
@@ -356,43 +353,53 @@ class _CsvRows:
 
     Gives the text of np.savetxt(fmt="%d", delimiter=","): each row is its
     values in decimal without leading zeros, joined by "," and ended by
-    "\n".  Each column fills a field of right-aligned digits, as wide as
-    the largest value it will hold (maxima), in one (rows, characters)
-    uint8 matrix; the matrix read row by row past the masked leading
-    zeros is the text.  The matrix, its mask, the digit arithmetic and
-    the text live in buffers made once for slices of up to `rows` rows,
-    so formatting one slice after another allocates only the str.
+    "\n".  Each column fills a field of right-aligned characters, as wide
+    as the largest value it will hold (maxima), in one (rows, characters)
+    uint8 matrix.  A field's digits come from the right, one floor
+    division by the scalar 10 each: the digit is the value less ten times
+    its quotient, and the last quotient is the leading digit itself.
+    Leading zeros are NUL bytes, so the matrix's bytes with the NULs
+    deleted are the text.  A column given as an int is the same value on
+    every row.  The matrix and the digit arithmetic live in buffers made
+    once for slices of up to `rows` rows, so formatting one slice after
+    another allocates only copies of the text.
     """
 
     def __init__(self, maxima, rows):
         self.widths = [len(str(value)) for value in maxima]
         chars = sum(self.widths) + len(self.widths)
         self.cells = np.empty((rows, chars), dtype=np.uint8)
-        self.keep = np.ones((rows, chars), dtype=bool)
-        self.quotient = np.empty(rows, dtype=np.int64)
-        self.digit = np.empty(rows, dtype=np.int64)
-        self.text = np.empty(rows * chars, dtype=np.uint8)
+        # value, quotient, digit, and the offset of a digit's character
+        self.work = np.empty((4, rows), dtype=np.int64)
         ends = np.cumsum(np.add(self.widths, 1))
         self.cells[:, ends - 1] = ord(",")
         self.cells[:, -1] = ord("\n")
 
     def format(self, columns):
         size = len(columns[0])
-        cells, keep = self.cells[:size], self.keep[:size]
-        quotient, digit = self.quotient[:size], self.digit[:size]
-        end = 0
+        cells = self.cells[:size]
+        start = 0
         for col, width in zip(columns, self.widths):
-            end += width
-            np.copyto(quotient, col)
+            field = cells[:, start:start + width]
+            start += width + 1
+            value, quotient, digit, offset = self.work[:, :size]
+            np.copyto(value, col)
             for j in range(width):  # the j-th digit from the right
-                if j:  # a leading zero: it and every digit left of it are 0
-                    np.greater(quotient, 0, out=keep[:, end - 1 - j])
-                np.divmod(quotient, 10, out=(quotient, digit))
-                np.add(digit, ord("0"), out=cells[:, end - 1 - j], casting="unsafe")
-            end += 1
-        text = self.text[:np.count_nonzero(keep)]
-        np.compress(keep.ravel(), cells.ravel(), out=text)
-        return str(text.data, "ascii")
+                if j < width - 1:
+                    np.floor_divide(value, 10, out=quotient)
+                    np.multiply(quotient, 10, out=digit)
+                    np.subtract(value, digit, out=digit)
+                else:  # the leading digit is the last quotient itself
+                    digit = value
+                char = field[:, width - 1 - j]
+                if j:  # a leading zero, where the value is 0, stays NUL
+                    np.minimum(value, 1, out=offset)
+                    np.multiply(offset, ord("0"), out=offset)
+                    np.add(digit, offset, out=char, casting="unsafe")
+                else:
+                    np.add(digit, ord("0"), out=char, casting="unsafe")
+                value, quotient = quotient, value
+        return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def read_event_log(path_or_file):
@@ -490,25 +497,26 @@ def _parse_log_block(text):
     A block is canonical when it holds ASCII digits, commas and "\n"
     only, its commas and line ends run ",,,\n" line after line, and
     np.fromstring reads one value per comma or line end from it, so no
-    digits follow the last line end.  np.fromstring raises on an empty
-    field, but it saturates an out-of-range field at the int64 maximum,
-    where np.loadtxt raises, so a block holding that value is not
-    canonical either.  None leaves the block to _parse_log_rows, whose
-    errors name the line.
+    digits follow the last line end.  The first two are one bytes-level
+    test: the block with its digits deleted by bytes.translate equals
+    ",,,\n" repeated.  np.fromstring raises on an empty field, but it
+    saturates an out-of-range field at the int64 maximum, where
+    np.loadtxt raises, so a block holding that value is not canonical
+    either.  None leaves the block to _parse_log_rows, whose errors name
+    the line.
     """
     if not text.isascii():
         return None
     raw = text.encode("ascii")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    # every byte but a digit: uint8 wraps the bytes below "0" past 9
-    separators = buf[np.flatnonzero(buf - ord("0") > 9)]
-    if separators.size % 4 or not (separators.reshape(-1, 4) == _ROW_SEPARATORS).all():
+    # every byte but a digit
+    separators = raw.translate(None, b"0123456789")
+    if separators != b",,,\n" * (len(separators) // 4):
         return None
     try:
         values = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",")
     except ValueError:
         return None
-    if values.size != separators.size or values.max() == _INT64_MAX:
+    if values.size != len(separators) or values.max() == _INT64_MAX:
         return None
     return values.reshape(-1, 4)
 

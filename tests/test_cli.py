@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entsense import __version__, simulator
@@ -24,6 +25,7 @@ from entsense.model import (
     pattern_distribution,
 )
 from entsense.simulator import read_event_log
+from log_digests import DIGEST_FILE, run_digests
 
 
 def write_config(path, doc):
@@ -514,7 +516,7 @@ class TestLateFailure:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "informative" in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()  # no data file, no manifest, no directory
 
 
 def make_log(tmp_path, pulses=120_000, points=5):
@@ -678,6 +680,18 @@ class TestAuditCommand:
         assert doc["n"] == pytest.approx(merged.n, rel=1e-12)
         truth = 3.0 * sum(read_event_log(str(log)).truth_pairs)
         assert doc["truth_photon_passes"] == pytest.approx(truth)
+
+
+@pytest.mark.filterwarnings("ignore::entsense.errors.DegenerateEstimateWarning")
+def test_event_log_bytes_match_recorded_digests(tmp_path):
+    # the log path's output, pinned: see tests/log_digests.py to regenerate
+    recorded = json.loads(DIGEST_FILE.read_text())
+    got = run_digests(tmp_path)
+    assert sorted(got) == sorted(recorded["files"])
+    for name, digest in recorded["files"].items():
+        assert got[name] == digest, (
+            f"{name}: sha256 {got[name]} under numpy {np.__version__}, "
+            f"recorded {digest} under numpy {recorded['numpy']}")
 
 
 class TestNumericFormatting:

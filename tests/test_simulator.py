@@ -34,6 +34,7 @@ from entsense.simulator import (
     EVENT_LOG_HEADER,
     LANE_BITS,
     LANE_PULSES,
+    MAX_PULSES_PER_SETTING,
     BlockedRunSample,
     ExperimentConfig,
     cut_blocks,
@@ -738,22 +739,29 @@ def assert_same_log(got, want):
 class TestLogWriter:
     """The vectorized event-log writer against np.savetxt, byte for byte."""
 
-    def streams(self, n, seed):
+    def streams(self, n, seed, n_max=SRC_240M.n_max):
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, N_PATTERNS, n).astype(np.uint8)
-        m = rng.integers(0, SRC_240M.n_max + 1, n).astype(np.int16)
-        m[:2] = 0, SRC_240M.n_max
+        m = rng.integers(0, n_max + 1, n).astype(np.int16)
+        m[:2] = 0, n_max
         return patterns, m
 
-    @pytest.mark.parametrize("lo, n", [
-        (0, 25),  # 9 -> 10
-        (99_990, 20),  # 99_999 -> 100_000
-        (1_048_570, 12),  # 1_048_575 -> 1_048_576
-        (99_999 - 70_000, (1 << 16) + 5_000),  # past one slice, 5 -> 6 digits
+    # the last three put the writer on the stream layout's extremes:
+    # 16-digit pulse indices up to the last one a setting holds, and pair
+    # numbers up to a three-digit n_max; with the largest setting index
+    @pytest.mark.parametrize("lo, n, n_max", [
+        pytest.param(0, 25, 4, id="0-25"),  # 9 -> 10
+        pytest.param(99_990, 20, 4, id="99990-20"),  # 99_999 -> 100_000
+        pytest.param(1_048_570, 12, 4, id="1048570-12"),  # 1_048_575 -> 1_048_576
+        # past one slice, 5 -> 6 digits
+        pytest.param(99_999 - 70_000, (1 << 16) + 5_000, 4, id="29999-70536"),
+        pytest.param(10**15 - 10, 20, 4, id="15-to-16-digits"),
+        pytest.param(MAX_PULSES_PER_SETTING - 40, 40, 999, id="last-pulse-index"),
+        pytest.param(0, 3_000, 999, id="n_max-999"),
     ])
-    @pytest.mark.parametrize("setting_index", [0, 12])
-    def test_matches_savetxt(self, tmp_path, lo, n, setting_index):
-        patterns, m = self.streams(n, seed=lo + setting_index)
+    @pytest.mark.parametrize("setting_index", [0, 12, 2**24 - 1])
+    def test_matches_savetxt(self, tmp_path, lo, n, n_max, setting_index):
+        patterns, m = self.streams(n, seed=lo + setting_index, n_max=n_max)
         want, got = io.StringIO(), io.StringIO()
         savetxt_log_chunk(want, lo, setting_index, patterns, m)
         simulator._write_log_chunk(got, lo, setting_index, patterns, m)
