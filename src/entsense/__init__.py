@@ -93,7 +93,6 @@ from .randomphase import (
 from .config import (
     PRESET_NAMES,
     RunConfig,
-    RunManifest,
     load_config_file,
     load_preset,
     parse_config,
@@ -131,7 +130,6 @@ __all__ = [
     "RandomPhaseTrialSet",
     "ResourceAudit",
     "RunConfig",
-    "RunManifest",
     "SourceParams",
     "Tally",
     "actual_photons",

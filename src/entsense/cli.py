@@ -41,12 +41,12 @@ import numpy as np
 from . import __version__
 from .config import (
     PRESET_NAMES,
-    RunManifest,
     dump_csv,
     dump_json,
     load_config_file,
     load_preset,
     parse_config,
+    write_manifest,
 )
 from .errors import ConfigurationError, EmptyStatisticsError, EntsenseError
 from .estimation import fit_fringe
@@ -378,8 +378,10 @@ def build_parser():
                        help="recompute tallies and accounting from an event log")
     common(p)
     p.add_argument("--log", required=True,
-                   help="event-log CSV to audit (schema: "
-                        "pulse_index,setting_index,pattern,truth_pairs)")
+                   help="event log to audit, as fringe --log writes it: the "
+                        "header pulse_index,setting_index,pattern,truth_pairs, "
+                        "then per pulse 4 unsigned integers joined by ',' and "
+                        "ended by a line feed")
 
     return parser
 
@@ -394,9 +396,8 @@ def main(argv=None):
         config, config_path = _load_run_config(args)
         _COMMANDS[args.subcommand](args, config)
         # written last, so only a run that succeeded leaves a manifest
-        out = Path(args.out)
-        RunManifest.create(args.subcommand, config_path, config, out,
-                           __version__).to_json(out / "manifest.json")
+        write_manifest(Path(args.out), args.subcommand, config_path, config,
+                       __version__)
         return 0
     except EntsenseError as exc:
         print(f"error: {exc}", file=sys.stderr)

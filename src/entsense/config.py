@@ -28,7 +28,6 @@ __all__ = [
     "load_config_file",
     "load_preset",
     "parse_config",
-    "RunManifest",
 ]
 
 PRESET_NAMES = ("paper-240m", "paper-10km", "ideal", "threshold-scan")
@@ -272,9 +271,16 @@ def parse_config(doc):
 
 
 def load_config_file(path):
-    """Read and validate a JSON config (or manifest) file."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read and validate a UTF-8 JSON config (or manifest) file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"config file {path} is not UTF-8: byte {exc.start} "
+            f"(0x{data[exc.start]:02x}) does not decode"
+        ) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -320,38 +326,16 @@ def dump_csv(header, rows, path_or_file):
         path_or_file.write(",".join(map(repr, row)) + "\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to replay a run and get the same bytes back."""
-
-    subcommand: str
-    config_path: str | None
-    seed: int
-    out_dir: str
-    version: str
-    timestamp: str
-    resolved_config: dict
-
-    @classmethod
-    def create(cls, subcommand, config_path, config, out_dir, version):
-        return cls(
-            subcommand=subcommand,
-            config_path=None if config_path is None else str(config_path),
-            seed=config.seed,
-            out_dir=str(out_dir),
-            version=version,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            resolved_config=dict(config.raw),
-        )
-
-    def to_json(self, path=None):
-        doc = {
-            "subcommand": self.subcommand,
-            "config_path": self.config_path,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "resolved_config": self.resolved_config,
-        }
-        return dump_json(doc, path)
+def write_manifest(out, subcommand, config_path, config, version):
+    """Write out/manifest.json for a run that succeeded: everything needed
+    to replay it and get the same bytes back, and the time it finished.
+    out is the run's --out directory, a Path."""
+    dump_json({
+        "subcommand": subcommand,
+        "config_path": config_path,
+        "seed": config.seed,
+        "out_dir": str(out),
+        "version": version,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "resolved_config": dict(config.raw),
+    }, out / "manifest.json")

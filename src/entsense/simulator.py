@@ -38,8 +38,7 @@ Two sampling paths are exposed:
 
 from __future__ import annotations
 
-import re
-import warnings
+import io
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -94,9 +93,6 @@ MAX_PULSES_PER_SETTING = (_CHUNK_LIMIT - 1) * _DEFAULT_CHUNK
 _LOG_SLICE = 1 << 13  # rows formatted at once; sizes the writer's buffers
 _LOG_CHARS = 1 << 18  # characters read at once; bounds the reader's text block
 _INT64_MAX = np.iinfo(np.int64).max
-# a line and its end, as iterating a file opened with newline="" splits them:
-# at "\n", "\r\n" or "\r" (str.splitlines also splits at "\x0c" and others)
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
 
@@ -406,25 +402,27 @@ def read_event_log(path_or_file):
     """Parse an event-log CSV back into per-setting tallies and truth totals.
 
     Accepts a path or a readable text file, a pipe included, holding a
-    log written by run_experiment or any file with the same header and
-    integer rows.  The log is read once, in blocks of whole lines of
-    about _LOG_CHARS characters, into running per-setting totals, so
-    memory is bounded by one text block plus the informative events.
-    A block in the writer's canonical form (digits, commas and "\n",
-    four fields a line) is parsed at once by np.fromstring; any other
-    block is split into lines and parsed by np.loadtxt, which checks
-    every line.  Returns an ExperimentResult whose tallies are ordered
-    by setting index, with each setting's informative click patterns
-    (uint8, in log order) as its patterns, for callers that cut blocks
-    by arrival.  ConfigurationError names the line of a row that is not
-    four integers, the header being line 1, and the setting and
-    pulse_index of a pattern outside 0..15 or a negative truth_pairs.
+    log in the form run_experiment writes: the header line, then one line
+    per pulse of four unsigned decimal integers below 2**63 - 1 (leading
+    zeros allowed), joined by "," and ended by "\n".  Nothing else reads:
+    not "\r\n" or "\r" line ends, blank lines, signs, spaces, a last line
+    without its "\n", nor a byte outside ASCII.  A path is opened as
+    latin-1 with newline="\n", so every byte reaches that check as it is;
+    a file object is read as its caller decodes it.  The log is read once,
+    in blocks of whole lines of about _LOG_CHARS characters, each parsed
+    by _parse_log_block, into running per-setting totals, so memory is
+    bounded by one text block plus the informative events.  Returns an
+    ExperimentResult whose tallies are ordered by setting index, with
+    each setting's informative click patterns (uint8, in log order) as
+    its patterns, for callers that cut blocks by arrival.
+    ConfigurationError names the first line not in that form, the header
+    being line 1, and the setting and pulse_index of a pattern above 15.
     So does a setting whose pulse_index column, in log order, is not 0,
     1, ..., P-1: a log with pulses left out or repeated would audit a
     post-selected record as complete.  Settings may interleave.
     """
     if not hasattr(path_or_file, "read"):
-        with open(Path(path_or_file), newline="") as fh:
+        with open(Path(path_or_file), encoding="latin-1", newline="\n") as fh:
             return read_event_log(fh)
     first = path_or_file.readline().strip()
     if first != EVENT_LOG_HEADER:
@@ -437,29 +435,20 @@ def read_event_log(path_or_file):
     # a block of whole lines: _LOG_CHARS characters and the rest of the last line
     while text := path_or_file.read(_LOG_CHARS) + path_or_file.readline():
         rows = _parse_log_block(text)
-        if rows is None:  # not canonical: parse it line by line
-            lines = _LINE.findall(text)
-            rows = _parse_log_rows(lines)
-            if rows is None:
-                number, bad = next((n, row.rstrip("\r\n"))
-                                   for n, row in enumerate(lines, start=line + 1)
-                                   if _parse_log_rows([row]) is None)
-                raise ConfigurationError(
-                    f"event log: line {number} ({bad!r}) is not 4 comma-separated integers"
-                )
-            line += len(lines)
-        else:
-            line += len(rows)
-        if not len(rows):
-            continue
-        patterns = rows[:, 2]
-        out_of_range = (patterns < 0) | (patterns >= N_PATTERNS) | (rows[:, 3] < 0)
-        if out_of_range.any():
-            index, s_idx, pattern, pairs = rows[np.argmax(out_of_range)].tolist()
-            what = (f"truth_pairs {pairs}, below 0" if 0 <= pattern < N_PATTERNS
-                    else f"pattern {pattern}, outside 0..{N_PATTERNS - 1}")
+        if rows is None:  # name the first line refused on its own
+            lines = enumerate(io.StringIO(text, newline="\n"), start=line + 1)
+            number, bad = next((number, row.removesuffix("\n")) for number, row in lines
+                               if _parse_log_block(row) is None)
             raise ConfigurationError(
-                f"event log: setting {s_idx}, pulse_index {index} has {what}")
+                f"event log: line {number} ({bad!r}) is not 4 unsigned integers "
+                f"joined by ',' and ended by '\\n'")
+        line += len(rows)
+        out_of_range = rows[:, 2] >= N_PATTERNS
+        if out_of_range.any():
+            index, s_idx, pattern, _ = rows[np.argmax(out_of_range)].tolist()
+            raise ConfigurationError(
+                f"event log: setting {s_idx}, pulse_index {index} has pattern "
+                f"{pattern}, outside 0..{N_PATTERNS - 1}")
         settings = rows[:, 1]
         if (settings == settings[0]).all():  # the usual block: one setting
             groups = [(int(settings[0]), rows)]
@@ -492,18 +481,18 @@ def read_event_log(path_or_file):
 
 
 def _parse_log_block(text):
-    """Canonical event-log lines as an int64 array of 4 columns, or None.
+    """Event-log lines in the writer's form as an int64 array of 4
+    columns, or None when the text is not in that form.
 
-    A block is canonical when it holds ASCII digits, commas and "\n"
-    only, its commas and line ends run ",,,\n" line after line, and
-    np.fromstring reads one value per comma or line end from it, so no
-    digits follow the last line end.  The first two are one bytes-level
-    test: the block with its digits deleted by bytes.translate equals
-    ",,,\n" repeated.  np.fromstring raises on an empty field, but it
-    saturates an out-of-range field at the int64 maximum, where
-    np.loadtxt raises, so a block holding that value is not canonical
-    either.  None leaves the block to _parse_log_rows, whose errors name
-    the line.
+    The form is four unsigned decimal integers a line, joined by "," and
+    ended by "\n".  The text must hold ASCII digits, commas and "\n" only,
+    its commas and line ends must run ",,,\n" line after line, and
+    np.fromstring must read one value per comma or line end from it, so
+    no field is empty and no digits follow the last line end.  The first
+    two are one bytes-level test: the text with its digits deleted by
+    bytes.translate equals ",,,\n" repeated.  np.fromstring saturates an
+    out-of-range field at the int64 maximum, so a text holding that value
+    is refused too, and every value read is below 2**63 - 1.
     """
     if not text.isascii():
         return None
@@ -519,21 +508,6 @@ def _parse_log_block(text):
     if values.size != len(separators) or values.max() == _INT64_MAX:
         return None
     return values.reshape(-1, 4)
-
-
-def _parse_log_rows(lines):
-    """Event-log rows as an int64 array of 4 columns (0 rows when the
-    lines are blank), or None when a line is not 4 comma-separated
-    integers."""
-    with warnings.catch_warnings():
-        # blank lines hold no rows; an empty log is reported as
-        # EmptyStatisticsError by the caller
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError:
-            return None
-    return rows.reshape(-1, 4) if rows.size == 0 or rows.shape[1] == 4 else None
 
 
 def sample_tally(source, eff, u, pulses, rng, setting_index=0):

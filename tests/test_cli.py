@@ -25,7 +25,7 @@ from entsense.model import (
     pattern_distribution,
 )
 from entsense.simulator import read_event_log
-from log_digests import DIGEST_FILE, run_digests
+from log_digests import DIGEST_FILE, UNLOGGED_RUNS, logged_runs, run_digests
 
 
 def write_config(path, doc):
@@ -130,6 +130,19 @@ class TestArgumentHandling:
 
 
 class TestConfigErrors:
+    def test_non_utf8_config_byte_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        text = json.dumps(load_preset("paper-240m").raw).encode("ascii")
+        at = text.index(b"source") + 1
+        bad.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        out = tmp_path / "out"
+        code = main(["precision", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"config file {bad} is not UTF-8: byte {at} (0xff)" in err
+        assert not out.exists()
+
     def test_invalid_json_names_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"source": }')
@@ -330,9 +343,12 @@ class TestFringeCommand:
         out = tmp_path / "out"
         assert main(["fringe", "--config", cfg, "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
+        assert list(man) == ["subcommand", "config_path", "seed", "out_dir",
+                             "version", "timestamp", "resolved_config"]
         assert man["subcommand"] == "fringe"
         assert man["version"] == __version__
         assert man["config_path"] == cfg
+        assert man["out_dir"] == str(out)
 
     def test_event_log_flag_writes_log(self, tmp_path):
         doc = fringe_doc(pulses=30_000, points=5)
@@ -610,6 +626,19 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 3" in err
 
+    def test_non_utf8_log_byte_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", fringe_doc())
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"pulse_index,setting_index,pattern,truth_pairs\n"
+                        b"0,0,5,1\n1,0,\xff,1\n2,0,5,1\n")
+        out = tmp_path / "audit"
+        code = main(["audit", "--config", cfg, "--log", str(log), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 3 ('1,0,\xff,1')" in err
+        assert not out.exists()
+
     def test_post_selected_log_fails_cleanly(self, tmp_path, capsys):
         # keeping only the informative rows is the post-selection the
         # audit exists to rule out
@@ -642,9 +671,8 @@ class TestAuditCommand:
             return record
 
         monkeypatch.setattr(entsense.cli, "read_event_log", counting_read)
-        # the reader's two parse entry points: canonical blocks, and lines
-        for name in ("_parse_log_block", "_parse_log_rows"):
-            monkeypatch.setattr(simulator, name, recording(getattr(simulator, name)))
+        monkeypatch.setattr(simulator, "_parse_log_block",
+                            recording(simulator._parse_log_block))
         assert main(["audit", "--config", cfg, "--log", str(log),
                      "--out", str(tmp_path / "audit")]) == 0
         assert len(reads) == 1
@@ -682,16 +710,31 @@ class TestAuditCommand:
         assert doc["truth_photon_passes"] == pytest.approx(truth)
 
 
-@pytest.mark.filterwarnings("ignore::entsense.errors.DegenerateEstimateWarning")
-def test_event_log_bytes_match_recorded_digests(tmp_path):
-    # the log path's output, pinned: see tests/log_digests.py to regenerate
+def assert_recorded_digests(got):
+    """got, {"<run>/<file>": sha256}, equals the digests recorded for
+    those runs in tests/data/log_digests.json (see tests/log_digests.py
+    to regenerate)."""
     recorded = json.loads(DIGEST_FILE.read_text())
-    got = run_digests(tmp_path)
-    assert sorted(got) == sorted(recorded["files"])
-    for name, digest in recorded["files"].items():
+    runs = {name.split("/")[0] for name in got}
+    want = {name: digest for name, digest in recorded["files"].items()
+            if name.split("/")[0] in runs}
+    assert sorted(got) == sorted(want)
+    for name, digest in want.items():
         assert got[name] == digest, (
             f"{name}: sha256 {got[name]} under numpy {np.__version__}, "
             f"recorded {digest} under numpy {recorded['numpy']}")
+
+
+@pytest.mark.filterwarnings("ignore::entsense.errors.DegenerateEstimateWarning")
+def test_event_log_bytes_match_recorded_digests(tmp_path):
+    # the logged runs' event logs, audit and fringe files, pinned
+    assert_recorded_digests(run_digests(tmp_path, logged_runs(tmp_path)))
+
+
+@pytest.mark.filterwarnings("ignore::entsense.errors.DegenerateEstimateWarning")
+def test_unlogged_bytes_match_recorded_digests(tmp_path):
+    # every data file of the unlogged subcommands on the shipped presets
+    assert_recorded_digests(run_digests(tmp_path, UNLOGGED_RUNS))
 
 
 class TestNumericFormatting:

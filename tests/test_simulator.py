@@ -4,6 +4,7 @@ The analytic pattern distribution (itself brute-force-verified in
 test_model) is the oracle for every sampled frequency here.
 """
 
+import contextlib
 import io
 import math
 import os
@@ -11,7 +12,6 @@ import re
 import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +234,35 @@ class TestEmittingKernel:
             draw(SRC_240M, EFF_240M, 0.3, rng, -1)
 
 
+def refusal(line, text):
+    """The reader's error for a line not in the writer's form."""
+    return (f"event log: line {line} ({text!r}) is not 4 unsigned integers "
+            f"joined by ',' and ended by '\\n'")
+
+
+@contextlib.contextmanager
+def piped(text):
+    """The read end of a pipe that a thread fills with text, decoded as
+    a path is, with every line end kept as it is."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(write_fd, "w", encoding="latin-1", newline="") as writer:
+                writer.write(text)
+        except BrokenPipeError:  # the reader stopped at a refused line
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        with os.fdopen(read_fd, encoding="latin-1", newline="\n") as fh:
+            assert not fh.seekable()
+            yield fh
+    finally:
+        feeder.join()
+
+
 class TestRunExperiment:
     def make_config(self, **kw):
         defaults = dict(
@@ -440,12 +469,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("row", ["1,0,x,1", "1,0,5", "1,0,5,1,7"])
     def test_malformed_row_names_its_line(self, tmp_path, row):
-        # the header is line 1; the blank line counts but holds no row
+        # the header is line 1
         path = tmp_path / "bad.csv"
-        path.write_text(EVENT_LOG_HEADER + "\n0,0,5,1\n\n" + row + "\n2,0,6,1\n")
-        with pytest.raises(ConfigurationError, match=f"line 4 \\('{row}'\\)"):
+        path.write_text(EVENT_LOG_HEADER + "\n0,0,5,1\n1,0,6,1\n" + row + "\n3,0,6,1\n")
+        message = re.escape(refusal(4, row))
+        with pytest.raises(ConfigurationError, match=message):
             read_event_log(path)
-        with pytest.raises(ConfigurationError, match="line 4 "):
+        with pytest.raises(ConfigurationError, match=message):
             read_event_log(io.StringIO(path.read_text()))
 
     @pytest.mark.parametrize("row, error", [
@@ -473,14 +503,18 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("row, found", [
         ("1,0,16,1", "setting 0, pulse_index 1 has pattern 16, outside 0..15"),
-        ("1,0,-1,1", "setting 0, pulse_index 1 has pattern -1, outside 0..15"),
-        ("1,1,5,-2", "setting 1, pulse_index 1 has truth_pairs -2, below 0"),
+        # a sign is not in the writer's form, so these rows fail at their
+        # line, before the range check that their ids name
+        pytest.param("1,0,-1,1", refusal(4, "1,0,-1,1"),
+                     id="1,0,-1,1-setting 0, pulse_index 1 has pattern -1, outside 0..15"),
+        pytest.param("1,1,5,-2", refusal(4, "1,1,5,-2"),
+                     id="1,1,5,-2-setting 1, pulse_index 1 has truth_pairs -2, below 0"),
     ])
     def test_out_of_range_row_names_its_pulse(self, tmp_path, row, found):
         path = tmp_path / "oor.csv"
         path.write_text(EVENT_LOG_HEADER + "\n0,0,5,1\n0,1,9,1\n" + row
-                        + "\n2,0,16,-1\n")
-        with pytest.raises(ConfigurationError, match=found):
+                        + "\n2,0,16,1\n")
+        with pytest.raises(ConfigurationError, match=re.escape(found)):
             read_event_log(path)
 
     def test_reader_memory_is_bounded(self, tmp_path):
@@ -532,7 +566,8 @@ class TestRunExperiment:
     def test_blank_lines_at_a_block_edge(self, tmp_path, blank):
         # the rows fill the first _LOG_CHARS characters but for the last,
         # where the blank lines start, and the rows go on after them; the
-        # longer run of blank lines fills a whole block
+        # longer run of blank lines fills a whole block.  The first blank
+        # line is refused, from a file and from a pipe.
         rows, size = [], 0
         while size + len(row := f"{len(rows)},0,5,1\n") < simulator._LOG_CHARS:
             rows.append(row)
@@ -546,12 +581,11 @@ class TestRunExperiment:
                 + "".join(rows[before:]))
         path = tmp_path / "blank.csv"
         path.write_text(text)
-        assert read_event_log(path).pulses == [before + 10]
-        path.write_text(text + "1,0,5\n")
-        bad_line = 1 + before + blank + 10 + 1
-        with pytest.raises(ConfigurationError,
-                           match=f"line {bad_line} \\('1,0,5'\\)"):
+        message = re.escape(refusal(1 + before + 1, ""))
+        with pytest.raises(ConfigurationError, match=message):
             read_event_log(path)
+        with piped(text) as fh, pytest.raises(ConfigurationError, match=message):
+            read_event_log(fh)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -564,100 +598,9 @@ class TestRunExperiment:
             self.make_config(seed=-1)
 
 
-def random_log_text(rng, pulses=600):
-    """A log of two settings whose lines mix the writer's canonical form
-    with forms only np.loadtxt reads.
-
-    Settings run in stretches and, now and then, alternate row by row.
-    Each stretch of about 40 lines either keeps the canonical form or
-    takes one other: leading zeros ("007"), "\r\n" or "\r" line ends, a
-    "+" sign or a space before a field, or a blank line.  The last line
-    may lack its line end.
-    """
-    setting = np.repeat(rng.integers(0, 2, pulses // 20), 20)
-    alternate = np.repeat(rng.random(pulses // 20) < 0.2, 20)
-    setting = np.where(alternate, np.arange(pulses) % 2, setting)
-    index = np.zeros(len(setting), dtype=np.int64)
-    for s_idx in (0, 1):
-        index[setting == s_idx] = np.arange(np.count_nonzero(setting == s_idx))
-    pattern = rng.integers(0, N_PATTERNS, pulses)
-    pairs = rng.integers(0, 4, pulses)
-    forms = ("canonical", "canonical", "zeros", "crlf", "cr", "sign", "space", "blank")
-    lines = []
-    for start in range(0, pulses, 40):
-        form = forms[rng.integers(len(forms))]
-        for row in range(start, min(start + 40, pulses)):
-            fields = [str(v) for v in (index[row], setting[row], pattern[row], pairs[row])]
-            field = rng.integers(4)
-            if form == "zeros":
-                fields[field] = "00" + fields[field]
-            elif form == "sign":
-                fields[field] = "+" + fields[field]
-            elif form == "space":
-                fields[field] = " " + fields[field]
-            end = {"crlf": "\r\n", "cr": "\r"}.get(form, "\n")
-            lines.append(",".join(fields) + end + ("\n" if form == "blank" else ""))
-    text = EVENT_LOG_HEADER + "\n" + "".join(lines)
-    return text.rstrip("\n") if rng.random() < 0.5 else text
-
-
 class TestLogReader:
-    """The checked np.fromstring fast path against the np.loadtxt parse."""
-
-    # characters: a few lines a block, so reads end inside rows everywhere
-    BLOCK = 300
-
-    @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_LOG_CHARS", self.BLOCK)
-
-    @staticmethod
-    def read(source, monkeypatch, fast=True):
-        """(result or error message, fast path taken per block), read
-        with warnings as errors, by the fast path or by np.loadtxt alone."""
-        parse, taken = simulator._parse_log_block, []
-
-        def spy(text):
-            rows = parse(text) if fast else None
-            taken.append(rows is not None)
-            return rows
-
-        with monkeypatch.context() as patch:
-            patch.setattr(simulator, "_parse_log_block", spy)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    back = read_event_log(source)
-                except ConfigurationError as err:
-                    return str(err), taken
-        return (back.tallies, back.truth_pairs, back.pulses,
-                [p.tolist() for p in back.patterns]), taken
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_mixed_logs_match_the_loadtxt_parse(self, tmp_path, monkeypatch,
-                                                small_blocks, seed):
-        text = random_log_text(np.random.default_rng(seed))
-        path = tmp_path / "mixed.csv"
-        path.write_bytes(text.encode("ascii"))
-        want, taken = self.read(path, monkeypatch, fast=False)
-        assert not isinstance(want, str) and not any(taken)
-        got, taken = self.read(path, monkeypatch)
-        assert got == want
-        assert any(taken) and not all(taken)  # both paths ran
-
-        # a pipe delivers the same text, "\r\n" and "\r" read as "\n"
-        read_fd, write_fd = os.pipe()
-
-        def feed():
-            with os.fdopen(write_fd, "w") as writer:
-                writer.write(text)
-
-        feeder = threading.Thread(target=feed)
-        feeder.start()
-        with os.fdopen(read_fd) as fh:
-            got, taken = self.read(fh, monkeypatch)
-        feeder.join()
-        assert got == want and any(taken)
+    """One parser: the writer's form reads, and any other line is refused
+    by its number."""
 
     @pytest.mark.parametrize("rows, line, bad", [
         ("99999999999999999999,0,5,1\n", 4, "99999999999999999999,0,5,1"),
@@ -671,48 +614,114 @@ class TestLogReader:
         (" 5\n", 4, " 5"),
         ("2,0\x0c5,1\n", 4, "2,0\x0c5,1"),  # a form feed ends no line
         ("57", 4, "57"),  # the last line, with no line end
+        pytest.param("2,0,5,1\r\n", 4, "2,0,5,1\r", id="crlf"),
+        pytest.param("2,0,5,1\r3,0,5,1\n", 4, "2,0,5,1\r3,0,5,1", id="cr"),
+        pytest.param("\n", 4, "", id="blank"),
+        pytest.param("2,0,-1,1\n", 4, "2,0,-1,1", id="negative"),
+        pytest.param(f"{2**63 - 1},0,5,1\n", 4, f"{2**63 - 1},0,5,1",
+                     id="int64-maximum"),
     ])
     def test_non_canonical_rows_fail_as_before(self, tmp_path, monkeypatch,
-                                               small_blocks, rows, line, bad):
-        # canonical rows around the bad one fill its block: the fast path
-        # must refuse the block, not read a wrong value from it
+                                               rows, line, bad):
+        # canonical rows around the bad one fill its block: the parser
+        # must refuse the block, not read a wrong value from it.  The
+        # edge of the first text block moves over the bad rows a
+        # character at a time, and the default block holds them whole.
         before = "".join(f"{i},0,5,1\n" for i in range(2))
         after = ("".join(f"{i},0,5,1\n" for i in range(4, 200))
                  if rows.endswith("\n") else "")
+        text = EVENT_LOG_HEADER + "\n" + before + rows + after
         path = tmp_path / "bad.csv"
-        path.write_text(EVENT_LOG_HEADER + "\n" + before + rows + after)
-        message = (f"event log: line {line} ({bad!r}) is not 4 "
-                   f"comma-separated integers")
-        for fast in (True, False):
-            assert self.read(path, monkeypatch, fast)[0] == message
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            read_event_log(path)  # in the default block size
-
-    @pytest.mark.parametrize("row", ["9223372036854775807,0,5,1",
-                                     "0,9223372036854775807,5,1"])
-    def test_int64_maximum_reads_as_before(self, tmp_path, monkeypatch,
-                                           small_blocks, row):
-        # np.fromstring also gives 2**63 - 1 for larger values, so a block
-        # holding it goes to np.loadtxt, which reads this one exactly
-        path = tmp_path / "max.csv"
-        path.write_text(EVENT_LOG_HEADER + "\n0,0,5,1\n1,0,5,1\n" + row + "\n")
-        got = self.read(path, monkeypatch)[0]
-        assert got == self.read(path, monkeypatch, fast=False)[0]
-        if row.startswith("9"):
-            assert "pulse_index 9223372036854775807 where 2 is expected" in got
-        else:
-            assert got[2] == [2, 1]
+        path.write_bytes(text.encode("ascii"))
+        message = re.escape(refusal(line, bad))
+        edges = range(len(before) - 1, len(before) + len(rows) + 2)
+        for chars in [*edges, simulator._LOG_CHARS]:
+            monkeypatch.setattr(simulator, "_LOG_CHARS", chars)
+            with pytest.raises(ConfigurationError, match=message):
+                read_event_log(path)
+            with piped(text) as fh, pytest.raises(ConfigurationError, match=message):
+                read_event_log(fh)
 
     def test_canonical_log_takes_the_fast_path(self, tmp_path, monkeypatch):
+        # each text block of a written log is parsed once, whole
         path = tmp_path / "events.csv"
         cfg = ExperimentConfig(source=SRC_240M, eff=EFF_240M,
                                settings=(PhaseSetting(0.9, 0.0), PhaseSetting(2.1, 0.3)),
                                pulses_per_setting=30_000, seed=5)
         result = run_experiment(cfg, event_log=path)
-        got, taken = self.read(path, monkeypatch)
-        assert got[:3] == (result.tallies, result.truth_pairs, result.pulses)
-        assert len(taken) > 2 and all(taken)
-        assert got == self.read(path, monkeypatch, fast=False)[0]
+        parse, blocks = simulator._parse_log_block, []
+
+        def spy(text):
+            blocks.append(parse(text))
+            return blocks[-1]
+
+        monkeypatch.setattr(simulator, "_parse_log_block", spy)
+        back = read_event_log(path)
+        assert (back.tallies, back.truth_pairs, back.pulses) == (
+            result.tallies, result.truth_pairs, result.pulses)
+        assert len(blocks) > 2 and all(rows is not None for rows in blocks)
+        assert sum(map(len, blocks)) == sum(result.pulses)
+
+    def test_single_byte_edits_read_or_name_their_line(self, tmp_path):
+        path = tmp_path / "edited.csv"
+        header = (EVENT_LOG_HEADER + "\n").encode("ascii")
+        read = 0
+        for body in single_byte_edits(EDITED_LOG):
+            path.write_bytes(header + body)
+            try:
+                back = read_event_log(path)
+            except ConfigurationError as err:
+                assert re.match(r"event log: (line|setting) \d", str(err)), body
+                got = None
+            except EmptyStatisticsError:
+                got = None
+            else:
+                got = (back.tallies, back.truth_pairs, back.pulses)
+                read += 1
+            assert got == plain_parse(body), body
+        assert read  # leading zeros, for one, still read
+
+
+# a small canonical log body of two interleaved settings, and the bytes
+# that single_byte_edits inserts or puts in place of one of its bytes
+EDITED_LOG = b"0,0,5,1\n0,1,9,2\n1,0,15,1\n1,1,0,0\n2,0,6,3\n2,1,10,1\n"
+EDIT_BYTES = b"09,\n\r-+ x\xff"
+
+
+def single_byte_edits(body):
+    """body with one byte deleted, inserted or replaced, in every way."""
+    for at in range(len(body)):
+        yield body[:at] + body[at + 1:]
+    for at in range(len(body) + 1):
+        for byte in EDIT_BYTES:
+            yield body[:at] + bytes([byte]) + body[at:]
+    for at in range(len(body)):
+        for byte in EDIT_BYTES:
+            yield body[:at] + bytes([byte]) + body[at + 1:]
+
+
+def plain_parse(body):
+    """(tallies, truth_pairs, pulses) of a log body by plain Python, or
+    None when the body is not in the writer's form or its rows are out
+    of order or range."""
+    text = body.decode("latin-1")
+    if not text.endswith("\n"):
+        return None
+    fields = [line.split(",") for line in text[:-1].split("\n")]
+    if not all(len(row) == 4 and all(f.isascii() and f.isdigit() for f in row)
+               for row in fields):
+        return None
+    counts, truth, pulses = {}, {}, {}
+    for index, s_idx, pattern, pairs in ([int(f) for f in row] for row in fields):
+        if (max(index, s_idx, pattern, pairs) >= 2**63 - 1 or pattern >= N_PATTERNS
+                or index != pulses.get(s_idx, 0)):
+            return None
+        pulses[s_idx] = index + 1
+        truth[s_idx] = truth.get(s_idx, 0) + pairs
+        counts.setdefault(s_idx, np.zeros(N_PATTERNS, dtype=np.int64))[pattern] += 1
+    order = sorted(pulses)
+    return ([Tally(counts[s], setting_index=s) for s in order],
+            [truth[s] for s in order], [pulses[s] for s in order])
 
 
 def savetxt_log_chunk(fh, lo, setting_index, patterns, m):
