@@ -20,9 +20,14 @@ Two sampling paths are exposed:
   the sensing law (model.coincidence_probs), per-photon survival - and
   carries the emitted-pair truth side channel used by the resource
   audit.  The pair-number, route and click draws are fixed by the
-  determinism contract; the pair numbers and routes are computed on the
-  emitting pulses only, by comparing the draws with the cumulative
-  weights, which equals searchsorted plus the clip to the last bin.
+  determinism contract.  Each draw is one of Philox's raw 64-bit words,
+  and each test is an integer compare of the word's top 53 bits with a
+  step ceil(p * 2**53) of a weight p, which decides exactly as the
+  compare of Generator.random()'s double with p; so a replay rests on
+  Philox's output, not on numpy's conversion of words to doubles.  The
+  pair numbers and routes are computed on the emitting pulses only, by
+  counting the steps of the cumulative weights each word passes, which
+  equals searchsorted plus the clip to the last bin.
   `tally_pulses` reduces a chunk to its 16 counts and truth total
   without per-pulse arrays; `sample_patterns` scatters the same draws
   into per-pulse arrays for the event log;
@@ -188,16 +193,28 @@ def _alice_bob_index(routes):
     return routes >> 1, routes & 1
 
 
-def _edges_passed(edges, r):
-    """How many of the ascending edges each r is at or above, as int16.
+def _steps(p):
+    """The integer steps ceil(p * 2**53) of probabilities p, as uint64.
 
-    Equals searchsorted(edges, r, side="right"); a caller that leaves the
-    last edge of a cumulative distribution out gets the clip to its last
-    bin, which guards roundoff in the final cumsum, for free.
+    Generator.random() on Philox reads a raw word w as the double
+    k * 2**-53, k = w >> 11, so against a probability p, r >= p holds
+    exactly when k >= step and r < p exactly when k < step.  A p that
+    rounds to 1 gives the step 2**53, which no k reaches.
     """
-    passed = np.zeros(len(r), dtype=np.int16)
-    for edge in edges:
-        passed += r >= edge
+    return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+
+
+def _edges_passed(steps, k):
+    """How many of the ascending steps each k is at or above, as int16.
+
+    Equals searchsorted(edges, k * 2**-53, side="right") for the edges
+    that the steps come from; a caller that leaves the last edge of a
+    cumulative distribution out gets the clip to its last bin, which
+    guards roundoff in the final cumsum, for free.
+    """
+    passed = np.zeros(len(k), dtype=np.int16)
+    for step in steps:
+        passed += k >= step
     return passed
 
 
@@ -209,24 +226,31 @@ def _draw_emitting(source, eff, u, rng, n):
     and pair numbers; every other pulse has pattern 0 and m = 0.  The
     draw sequence per chunk is fixed: pair numbers, then routes, then
     Alice survivals, then Bob survivals; changing it would change every
-    seeded result, so it is part of the determinism contract.
+    seeded result, so it is part of the determinism contract.  Each draw
+    is one of Philox's raw 64-bit words, tested against the _steps of
+    the cumulative pair weights, the cumulative route weights and the
+    channel efficiencies by integer compares, which decide as the
+    compares of Generator.random()'s doubles with those weights would.
     """
     if n < 0:
         raise ConfigurationError(f"pulse count must be >= 0, got {n}")
-    cum_pairs = np.cumsum(source.pair_weights())
-    cum_route = np.cumsum(coincidence_probs(u, source.visibility))
-    eta = eff.as_array()
+    pair_steps = _steps(np.cumsum(source.pair_weights()))
+    route_steps = _steps(np.cumsum(coincidence_probs(u, source.visibility)))
+    click_steps = _steps(eff.as_array())
+    raw = rng.bit_generator.random_raw
 
-    r = rng.random(n)
-    idx = np.flatnonzero(r >= cum_pairs[0])
-    r = r[idx]
-    m = _edges_passed(cum_pairs[1:source.n_max], r)
-    m += 1  # cum_pairs[0], the edge every emitting pulse passed
+    words = raw(n)
+    # k >= step is w >= step << 11, a bound no word reaches for the step 2**53
+    emit = int(pair_steps[0]) << 11
+    idx = (np.flatnonzero(words >= np.uint64(emit)) if emit < 2**64
+           else np.zeros(0, dtype=np.intp))
+    m = _edges_passed(pair_steps[1:source.n_max], words[idx] >> 11)
+    m += 1  # pair_steps[0], the step every emitting pulse passed
     total = int(m.sum())
-    routes = _edges_passed(cum_route[:3], rng.random(total))
+    routes = _edges_passed(route_steps[:3], raw(total) >> 11)
     a_idx, b_idx = _alice_bob_index(routes)
-    a_click = rng.random(total) < eta[a_idx]
-    b_click = rng.random(total) < eta[2 + b_idx]
+    a_click = raw(total) >> 11 < click_steps[a_idx]
+    b_click = raw(total) >> 11 < click_steps[2 + b_idx]
     masks = (a_click << a_idx | (b_click << (2 + b_idx))).astype(np.uint8)
 
     starts = np.cumsum(m, dtype=np.int64) - m  # each pulse's first photon
@@ -236,11 +260,12 @@ def _draw_emitting(source, eff, u, rng, n):
 def sample_patterns(source, eff, u, rng, n):
     """Vectorized pulse path: n pulses on a caller-owned generator.
 
-    Returns (patterns uint8[n], truth_pairs int16[n]).  The pair-number,
-    route and click draws are unchanged (see _draw_emitting); the pair
+    Returns (patterns uint8[n], truth_pairs int16[n]).  The draws are
+    Philox's raw words, in the fixed order of _draw_emitting; the pair
     numbers and routes are computed on the emitting pulses only, by
-    comparing the draws with the cumulative weights, which equals
-    searchsorted(side="right") followed by the clip to the last bin.
+    counting the integer steps of the cumulative weights each word's top
+    53 bits pass, which equals searchsorted(side="right") on the doubles
+    Generator.random() would give, followed by the clip to the last bin.
     """
     idx, emitting, m_emitting = _draw_emitting(source, eff, u, rng, n)
     patterns = np.zeros(n, dtype=np.uint8)
@@ -255,7 +280,9 @@ def tally_pulses(source, eff, u, rng, n):
 
     Returns (counts int64[16], truth_pairs int), equal to the bincount of
     sample_patterns' patterns and the sum of its pair numbers for the same
-    generator state, and leaves the generator where sample_patterns does.
+    generator state: the same raw words, compared with the same integer
+    steps (see _draw_emitting).  Leaves the generator where
+    sample_patterns does.
     """
     idx, patterns, m = _draw_emitting(source, eff, u, rng, n)
     counts = np.bincount(patterns, minlength=N_PATTERNS)
@@ -402,19 +429,20 @@ def read_event_log(path_or_file):
     """Parse an event-log CSV back into per-setting tallies and truth totals.
 
     Accepts a path or a readable text file, a pipe included, holding a
-    log in the form run_experiment writes: the header line, then one line
-    per pulse of four unsigned decimal integers below 2**63 - 1 (leading
-    zeros allowed), joined by "," and ended by "\n".  Nothing else reads:
-    not "\r\n" or "\r" line ends, blank lines, signs, spaces, a last line
-    without its "\n", nor a byte outside ASCII.  A path is opened as
-    latin-1 with newline="\n", so every byte reaches that check as it is;
-    a file object is read as its caller decodes it.  The log is read once,
-    in blocks of whole lines of about _LOG_CHARS characters, each parsed
-    by _parse_log_block, into running per-setting totals, so memory is
-    bounded by one text block plus the informative events.  Returns an
-    ExperimentResult whose tallies are ordered by setting index, with
-    each setting's informative click patterns (uint8, in log order) as
-    its patterns, for callers that cut blocks by arrival.
+    log in the form run_experiment writes: the header line, exactly
+    EVENT_LOG_HEADER and "\n", then one line per pulse of four unsigned
+    decimal integers below 2**63 - 1 (leading zeros allowed), joined by
+    "," and ended by "\n".  Nothing else reads: not "\r\n" or "\r" line
+    ends, blank lines, signs, spaces, a header with anything around it,
+    a last line without its "\n", nor a byte outside ASCII.  A path is
+    opened as latin-1 with newline="\n", so every byte reaches that check
+    as it is; a file object is read as its caller decodes it.  The log is
+    read once, in blocks of whole lines of about _LOG_CHARS characters,
+    each parsed by _parse_log_block, into running per-setting totals, so
+    memory is bounded by one text block plus the informative events.
+    Returns an ExperimentResult whose tallies are ordered by setting
+    index, with each setting's informative click patterns (uint8, in log
+    order) as its patterns, for callers that cut blocks by arrival.
     ConfigurationError names the first line not in that form, the header
     being line 1, and the setting and pulse_index of a pattern above 15.
     So does a setting whose pulse_index column, in log order, is not 0,
@@ -424,11 +452,12 @@ def read_event_log(path_or_file):
     if not hasattr(path_or_file, "read"):
         with open(Path(path_or_file), encoding="latin-1", newline="\n") as fh:
             return read_event_log(fh)
-    first = path_or_file.readline().strip()
-    if first != EVENT_LOG_HEADER:
+    first = path_or_file.readline()
+    if first != EVENT_LOG_HEADER + "\n":
+        first = first.removesuffix("\n")
         raise ConfigurationError(
-            f"expected event-log header {EVENT_LOG_HEADER!r}, got {first!r}"
-        )
+            f"event log: line 1 ({first!r}) is not the header "
+            f"{EVENT_LOG_HEADER!r} ended by '\\n'")
     counts, truth, informative = {}, {}, {}
     pulses = {}  # per setting: the pulses read, so the pulse_index expected next
     line = 1  # lines read

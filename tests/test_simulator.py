@@ -130,8 +130,9 @@ class TestSamplePulse:
 
 
 def reference_sample_patterns(source, eff, u, rng, n):
-    # the pulse path as first written: searchsorted plus clip over every
-    # pulse, kept as the reference the emitting-only kernel must equal
+    # the pulse path as first written: Generator.random() doubles and
+    # searchsorted plus clip over every pulse, kept as the reference the
+    # raw-word, emitting-only kernel must equal
     cum_pairs = np.cumsum(source.pair_weights())
     cum_route = np.cumsum(coincidence_probs(u, source.visibility))
     eta = eff.as_array()
@@ -153,26 +154,34 @@ def reference_sample_patterns(source, eff, u, rng, n):
     return patterns, m
 
 
-class CraftedRandom:
-    """Stands in for a Generator: its k-th random(size) call returns the
-    k-th array of draws, cycled to size."""
+class CraftedWords:
+    """Stands in for a Generator: its k-th draw returns the k-th array of
+    words, cycled to size, as raw words from bit_generator.random_raw or
+    as the doubles (w >> 11) * 2**-53 that random() makes of them."""
 
-    def __init__(self, *draws):
-        self.draws = iter(draws)
+    def __init__(self, *words):
+        self.words = iter(words)
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        return np.resize(np.asarray(next(self.words), dtype=np.uint64), size)
 
     def random(self, size):
-        return np.resize(next(self.draws), size)
+        return (self.random_raw(size) >> 11) * 2.0**-53
 
 
-def edge_values(cum):
-    # each edge, the doubles either side of it, and 0 and 1 - 2^-53
-    edges = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
-                            [0.0, 1.0 - 2.0**-53]))
-    return np.clip(edges, 0.0, 1.0 - 2.0**-53)
+def step_words(p):
+    # for each step ceil(p * 2^53), the k = step - 1 and k = step inside
+    # [0, 2^53), each with its 11 low bits all clear and all set, and the
+    # words 0 and 2^64 - 1
+    steps = np.ceil(np.ldexp(p, 53)).astype(np.int64)
+    k = np.clip(np.concatenate((steps - 1, steps)), 0, 2**53 - 1).astype(np.uint64)
+    return np.concatenate((k << 11, k << 11 | np.uint64(2**11 - 1),
+                           np.array([0, 2**64 - 1], dtype=np.uint64)))
 
 
 class TestEmittingKernel:
-    """The emitting-only pulse kernel against the searchsorted reference."""
+    """The raw-word pulse kernel against the float searchsorted reference."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.0025, 0.1])
     @pytest.mark.parametrize("n", [0, 1, 1000])
@@ -195,23 +204,66 @@ class TestEmittingKernel:
         (0.0025, 3, 0.1, 0.2),       # last pair and route cumsums 1 - 2^-53
     ])
     def test_draws_on_every_edge(self, mu, n_max, visibility, u):
-        # a draw at or above the last cumulative weight, which roundoff can
-        # put below 1, is clipped into the last bin
+        # a word at or above the last cumulative weight's step, which
+        # roundoff can put below 2^53, is clipped into the last bin
         src = SourceParams(mu=mu, visibility=visibility, n_max=n_max)
         cum_pairs = np.cumsum(src.pair_weights())
         cum_route = np.cumsum(coincidence_probs(u, visibility))
         for cum, top in ((cum_pairs, n_max), (cum_route, 3)):
-            r = edge_values(cum)
-            want = np.minimum(np.searchsorted(cum, r, side="right"), top)
-            np.testing.assert_array_equal(simulator._edges_passed(cum[:top], r), want)
-        # the whole kernel on pair and route draws sitting on those edges;
-        # every photon clicks, so each pattern shows its pulse's routes
-        draws = (edge_values(cum_pairs), edge_values(cum_route), [0.0], [0.0])
-        n = len(draws[0])
-        got = sample_patterns(src, EFF_240M, u, CraftedRandom(*draws), n)
-        want = reference_sample_patterns(src, EFF_240M, u, CraftedRandom(*draws), n)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+            words = step_words(cum)
+            want = np.minimum(np.searchsorted(cum, (words >> 11) * 2.0**-53,
+                                              side="right"), top)
+            got = simulator._edges_passed(simulator._steps(cum[:top]), words >> 11)
+            np.testing.assert_array_equal(got, want)
+        # the whole kernel on pair, route and click words sitting on those
+        # steps; the click words are rotated so that each photon meets
+        # every one of them
+        pair_words, route_words = step_words(cum_pairs), step_words(cum_route)
+        click_words = step_words(EFF_240M.as_array())
+        n = len(pair_words)
+        for shift in range(len(click_words)):
+            clicks = np.roll(click_words, shift)
+            draws = (pair_words, route_words, clicks, clicks[::-1])
+            got = sample_patterns(src, EFF_240M, u, CraftedWords(*draws), n)
+            want = reference_sample_patterns(src, EFF_240M, u, CraftedWords(*draws), n)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("source, eff", [
+        pytest.param(SRC_240M, EfficiencyBudget.uniform(1.0), id="eta-1"),
+        pytest.param(SourceParams(mu=0.0, visibility=0.9804, n_max=4), EFF_240M,
+                     id="mu-0"),
+        # the cumulative pair weights from m = 16 on round to 1.0
+        pytest.param(SourceParams(mu=2.0, visibility=0.9804, n_max=24), EFF_240M,
+                     id="last-pair-weights-round-to-1"),
+    ])
+    def test_matches_reference_on_steps_of_2_to_the_53(self, source, eff):
+        # a probability that rounds to 1 gives the step 2^53: no word passes
+        # it, and a photon with it always clicks
+        tested = np.concatenate((np.cumsum(source.pair_weights())[:source.n_max],
+                                 eff.as_array()))
+        assert simulator._steps(tested).max() == 2**53
+        n = 60_000
+        got_rng, tally_rng, want_rng = (stream_generator(29, LANE_PULSES, 3, 5)
+                                        for _ in range(3))
+        patterns, m = sample_patterns(source, eff, 0.7, got_rng, n)
+        counts, truth = tally_pulses(source, eff, 0.7, tally_rng, n)
+        want_patterns, want_m = reference_sample_patterns(source, eff, 0.7, want_rng, n)
+        np.testing.assert_array_equal(patterns, want_patterns)
+        np.testing.assert_array_equal(m, want_m)
+        np.testing.assert_array_equal(counts,
+                                      np.bincount(want_patterns, minlength=N_PATTERNS))
+        assert truth == int(want_m.sum(dtype=np.int64))
+        want_state = want_rng.bit_generator.state  # counter, buffer and position
+        np.testing.assert_equal(got_rng.bit_generator.state, want_state)
+        np.testing.assert_equal(tally_rng.bit_generator.state, want_state)
+
+    def test_random_is_the_raw_words_top_53_bits(self):
+        # Generator.random() on a stream is (w >> 11) * 2^-53 of its raw
+        # words, one word a draw: the identity the raw-word kernel rests on
+        doubles = stream_generator(31, LANE_PULSES, 4, 6).random(10_007)
+        words = stream_generator(31, LANE_PULSES, 4, 6).bit_generator.random_raw(10_007)
+        np.testing.assert_array_equal(doubles, (words >> 11) * 2.0**-53)
 
     @pytest.mark.parametrize("mu", [0.0, 0.056, 0.1])
     @pytest.mark.parametrize("n", [0, 1, 5000])
@@ -641,6 +693,24 @@ class TestLogReader:
                 read_event_log(path)
             with piped(text) as fh, pytest.raises(ConfigurationError, match=message):
                 read_event_log(fh)
+
+    @pytest.mark.parametrize("header", [
+        pytest.param("  " + EVENT_LOG_HEADER + " \t\n", id="padded"),
+        pytest.param(EVENT_LOG_HEADER + "\r\n", id="crlf"),
+        pytest.param(EVENT_LOG_HEADER + " \n", id="trailing-space"),
+    ])
+    def test_header_only_in_the_writer_form(self, tmp_path, header):
+        # the header, like every row, reads only as the writer writes it
+        text = header + "0,0,5,1\n1,0,0,0\n"
+        path = tmp_path / "header.csv"
+        path.write_bytes(text.encode("ascii"))
+        line = header.removesuffix("\n")
+        message = re.escape(f"event log: line 1 ({line!r}) is not the header "
+                            f"{EVENT_LOG_HEADER!r} ended by '\\n'")
+        with pytest.raises(ConfigurationError, match=message):
+            read_event_log(path)
+        with piped(text) as fh, pytest.raises(ConfigurationError, match=message):
+            read_event_log(fh)
 
     def test_canonical_log_takes_the_fast_path(self, tmp_path, monkeypatch):
         # each text block of a written log is parsed once, whole
