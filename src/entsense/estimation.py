@@ -333,9 +333,11 @@ def estimate_blocks(block_counts, calibration):
     stationary point in c, a maximum (Cauchy-Schwarz).  c turns at -phi0
     mod pi; the longer of the two monotone pieces of [0, pi] spans the
     other's c range, so it brackets one safeguarded Newton solve for all
-    blocks, started at arccos(c) - phi0 for the least-squares c of the
-    coincidence fractions clipped to [-1, 1], or at the piece's midpoint
-    when that is outside the open piece.  Ties: u
+    blocks.  A block starts at the root of cos(u + phi0) = c on the piece,
+    arccos(c) - phi0 or -arccos(c) - phi0 (mod 2*pi) by the sign of
+    sin(u + phi0) there, for the least-squares c of the coincidence
+    fractions clipped to [-1, 1]; or at the piece's midpoint when that
+    root is outside the open piece.  Ties: u
     and (-2*phi0 - u) mod 2*pi share L to rounding (< 1e-12 |L|); the lower
     is returned.  Flat (L(u_hat) < 1e-12 above the lower piece end): the
     branch midpoint.  Boundary: a maximum within 1e-6 of 0 or pi is that
@@ -357,7 +359,12 @@ def estimate_blocks(block_counts, calibration):
     b = a * np.array(FRINGE_SIGNS) * calibration.visibility_hat
     fracs = cats / np.maximum(cats.sum(axis=1, keepdims=True), 1)
     c = (fracs * a.sum() - a) @ b / max(b @ b, np.finfo(float).tiny)
-    start = np.arccos(np.clip(c, -1.0, 1.0)) - phi0
+    # sin(u + phi0) keeps one sign on the piece, which picks the root of
+    # cos(u + phi0) = c that can lie in it
+    root = np.arccos(np.clip(c, -1.0, 1.0))
+    if math.sin((left + right) / 2.0 + phi0) < 0.0:
+        root = -root
+    start = (root - phi0) % (2.0 * math.pi)
     u_hat = np.where((left < start) & (start < right), start, (left + right) / 2.0)
 
     # Safeguarded Newton (rtsafe) on L'(u) = 0: a step moves one bracket end

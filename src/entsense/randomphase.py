@@ -23,6 +23,7 @@ any precision summary.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .simulator import (
     LANE_BITS,
     LANE_BLOCKS,
     LANE_TALLY,
+    _ordered_map,
     cut_blocks,
     sample_blocked_run,
     sample_tally,
@@ -213,20 +215,49 @@ def precision_scan(source, eff, calibration, points, k_bar, s, *, seed):
 
     The branch ends are fringe extrema where the estimate degenerates, so
     the setpoints split (0, pi/3) evenly without touching either end;
-    setpoint j draws from setting index j.  Returns (thetas, measurements,
-    peak), peak being the index of the largest dB below the shot-noise
-    limit.
+    setpoint j draws from setting index j.  The setpoints run on
+    min(usable cores, points) threads (_measure_setpoints), with the same
+    result at any core count and at most 2 * threads setpoints' s x 9
+    int64 block arrays in flight.  Returns (thetas, measurements, peak), peak being the index of the
+    largest dB below the shot-noise limit.
     """
     branch = math.pi / 3.0
     thetas = [branch * (j + 1) / (points + 1) for j in range(points)]
-    measurements = [
-        measure_phase_point(source, eff, calibration, 3.0 * t, k_bar, s,
-                            seed=seed, setting_index=j)
-        for j, t in enumerate(thetas)
-    ]
+    measurements = _measure_setpoints(source, eff, calibration,
+                                      [3.0 * t for t in thetas], k_bar, s,
+                                      seed=seed)
     peak = max(range(len(measurements)),
                key=lambda i: measurements[i].report.db_below_snl)
     return thetas, measurements, peak
+
+
+def _usable_cores():
+    """Cores this process may run on: its affinity set where the platform
+    reports one, else os.cpu_count(), else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+def _measure_setpoints(source, eff, calibration, us, k_bar, s, *, seed):
+    """measure_phase_point at each u of us, setpoint j on setting index j.
+
+    Each setpoint draws from its own stream, so the setpoints run through
+    simulator._ordered_map on min(usable cores, setpoints) threads and
+    the list comes back in setpoint order, equal at any thread count.  At
+    most 2 * threads setpoints are in flight, each with its s x 9 int64
+    block array (115 kB at paper-240m's s = 1595) until it is reduced.
+    The first setpoint to raise, in setpoint order, raises here, and the
+    setpoints not yet started are not run.
+    """
+    def measure(item):
+        j, u = item
+        return measure_phase_point(source, eff, calibration, u, k_bar, s,
+                                   seed=seed, setting_index=j)
+
+    return list(_ordered_map(measure, enumerate(us),
+                             min(_usable_cores(), len(us))))
 
 
 def threshold_scan(source, etas, pulses, *, seed):
@@ -323,7 +354,11 @@ def run_random_phase_experiment(source, eff, calibration, num_phases, k_bar,
 
     For each trial both sensor angles are drawn from the bit source, the
     combined truth is folded onto the identifiable branch, and the
-    blocks are simulated and estimated against the supplied calibration.
+    blocks are simulated and estimated against the supplied calibration;
+    trial i draws from setting index i.  The trials run on
+    min(usable cores, num_phases) threads (_measure_setpoints), with the
+    same result at any core count and at most 2 * threads trials' s x 9
+    int64 block arrays in flight.
     num_phases=0 is a valid vacuous request.
     """
     if num_phases < 0:
@@ -333,16 +368,14 @@ def run_random_phase_experiment(source, eff, calibration, num_phases, k_bar,
             "a fringe calibration must be fitted before phase estimation"
         )
     settings = draw_phase_settings(seed, num_phases)
-    trials = []
-    for i, setting in enumerate(settings):
-        theta_true = fold_to_branch(global_phase(setting))
-        u = 3.0 * theta_true
-        measurement = measure_phase_point(
-            source, eff, calibration, u, k_bar, s, seed=seed, setting_index=i,
-        )
-        trials.append(PhaseTrial(index=i, setting=setting,
-                                 theta_true=theta_true,
-                                 measurement=measurement))
+    truths = [fold_to_branch(global_phase(setting)) for setting in settings]
+    measurements = _measure_setpoints(source, eff, calibration,
+                                      [3.0 * t for t in truths], k_bar, s,
+                                      seed=seed)
+    trials = [PhaseTrial(index=i, setting=setting, theta_true=theta_true,
+                         measurement=measurement)
+              for i, (setting, theta_true, measurement)
+              in enumerate(zip(settings, truths, measurements))]
     return RandomPhaseTrialSet(
         seed=int(seed),
         phases_truth=tuple(settings),

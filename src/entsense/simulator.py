@@ -11,7 +11,8 @@ fixed-size chunks, samples each chunk on its own stream, and reduces the
 results in (setting, chunk) order; the output is therefore bit-identical
 for any worker count, including zero (sequential).  A threaded run feeds
 every (setting, chunk) item of the run to one pool, with at most
-2 * workers chunks in flight across setting boundaries.
+2 * workers chunks in flight across setting boundaries; the same ordered
+map runs the blocked setpoints of randomphase, each on its own stream.
 
 Two sampling paths are exposed:
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import io
 from collections import deque
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
@@ -296,12 +297,13 @@ def run_experiment(config, *, workers=None, event_log=None):
     Deterministic given (config.seed, config.chunk_size): chunk streams
     are keyed by (seed, setting, chunk) and reduced in (setting, chunk)
     order, so any worker count gives bit-identical tallies and event logs.
-    One pool of `workers` threads serves the whole run (none when workers
-    is unset or 1) and keeps at most 2 * workers chunks in flight, across
-    setting boundaries.  Each chunk's 16 counts are added into its
-    setting's int64 row.  A PhaseSetting is fully checked when it is
-    built, so no setting fails part way through a run.  When event_log
-    is a path or writable text file, every pulse is appended as
+    The chunks go through _ordered_map: one pool of `workers` threads
+    serves the whole run (none when workers is unset or 1) and keeps at
+    most 2 * workers chunks in flight, across setting boundaries.  Each
+    chunk's 16 counts are added into its setting's int64 row.  A
+    PhaseSetting is fully checked when it is built, so no setting fails
+    part way through a run.  When event_log is a path or writable text
+    file, every pulse is appended as
     `pulse_index,setting_index,pattern,truth_pairs`; without a log each
     chunk is reduced by tally_pulses, with the same draws.
     """
@@ -324,15 +326,13 @@ def run_experiment(config, *, workers=None, event_log=None):
     counts = np.zeros((len(phases), N_PATTERNS), dtype=np.int64)
     truth = [0] * len(phases)
     to_file = event_log is not None and not hasattr(event_log, "write")
-    threaded = workers and workers > 1
     with (
         open(Path(event_log), "w", newline="") if to_file
         else nullcontext(event_log) as log_fh,
-        ThreadPoolExecutor(max_workers=workers) if threaded else nullcontext() as pool,
+        closing(_ordered_map(draw, work, workers)) as drawn,
     ):
         if log_fh is not None:
             log_fh.write(EVENT_LOG_HEADER + "\n")
-        drawn = _in_order(pool, draw, work, 2 * workers) if pool else map(draw, work)
         for s_idx, lo, chunk_counts, chunk_truth, rows in drawn:
             counts[s_idx] += chunk_counts
             truth[s_idx] += chunk_truth
@@ -342,23 +342,32 @@ def run_experiment(config, *, workers=None, event_log=None):
     return ExperimentResult(tallies, truth, [pulses] * len(phases))
 
 
-def _in_order(pool, fn, items, depth):
-    """pool.map that keeps at most depth items submitted and not consumed.
+def _ordered_map(fn, items, workers):
+    """Yield fn(item) for each of items, in item order.
 
-    pool.map submits every item at once, so with a slow consumer (the
-    event-log writer) finished chunks would pile up in memory.
+    Serial, with no pool, when workers is unset or at most 1.  Otherwise
+    one ThreadPoolExecutor of `workers` threads runs the items, with at
+    most 2 * workers of them submitted and not yet consumed, so a slow
+    consumer (the event-log writer) holds at most that many results in
+    memory.  The first item to raise, in item order, raises here, and
+    the items not yet started are cancelled; the pool is shut down when
+    the generator finishes or is closed.
     """
-    pending = deque()
-    try:
-        for item in items:
-            if len(pending) == depth:
+    if not workers or workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        try:
+            for item in items:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _write_log_chunk(fh, lo, setting_index, patterns, m):

@@ -559,7 +559,10 @@ def converged_estimate_blocks(block_counts, cal):
     b = a * np.array(FRINGE_SIGNS) * cal.visibility_hat
     fracs = cats / np.maximum(cats.sum(axis=1, keepdims=True), 1)
     c = (fracs * a.sum() - a) @ b / max(b @ b, np.finfo(float).tiny)
-    start = np.arccos(np.clip(c, -1.0, 1.0)) - phi0
+    root = np.arccos(np.clip(c, -1.0, 1.0))
+    if math.sin((left + right) / 2.0 + phi0) < 0.0:
+        root = -root
+    start = (root - phi0) % (2.0 * math.pi)
     u_hat = np.where((left < start) & (start < right), start, (left + right) / 2.0)
     lo, hi = np.full(len(cats), left), np.full(len(cats), right)
     active = np.arange(len(cats))
@@ -792,6 +795,38 @@ class TestGridFree:
         got_rows, rows[:] = sum(rows), []
         converged_estimate_blocks(block_counts, cal)
         assert got_rows < 0.7 * sum(rows)
+
+    @pytest.mark.parametrize("phase_offset", [0.2, -0.2, 2.0, -2.0])
+    def test_moment_start_inside_the_piece(self, precision_scans, monkeypatch,
+                                           phase_offset):
+        # Blocks drawn at u in (pi - 2, 2) have their maximum inside the
+        # piece with no mirror in [0, pi] at any of these origins.  At
+        # |phi0| > pi/2 the root of cos(u + phi0) = c on the piece is
+        # -arccos(c) - phi0 (mod 2 pi); starting at the piece's midpoint
+        # instead takes 5 Newton rows a block here.
+        cal = replace(precision_scans["paper-240m"][0], phase_offset=phase_offset)
+        block_counts = np.vstack([
+            sample_blocked_run(TestBatchedPolish.SOURCE, TestBatchedPolish.EFF, u,
+                               k_bar=6200, s=400,
+                               rng=stream_generator(24001, LANE_BLOCKS,
+                                                    setting_index=i)).block_counts
+            for i, u in enumerate((1.3, 1.6, 1.9))])
+        calls = []
+        real_slopes = estimation._loglike_slopes
+
+        def counting_slopes(cats, calibration, u):
+            calls.append(u.copy())
+            return real_slopes(cats, calibration, u)
+
+        monkeypatch.setattr(estimation, "_loglike_slopes", counting_slopes)
+        got, *got_counts = estimate_with_counts(block_counts, cal)
+        turn = -phase_offset % math.pi
+        left, right = (0.0, turn) if turn >= math.pi / 2.0 else (turn, math.pi)
+        assert not np.any(calls[0] == (left + right) / 2.0)
+        assert sum(len(u) for u in calls) < 3.5 * len(block_counts)
+        want, *want_counts = grid_estimate_blocks(block_counts, cal)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert got_counts == want_counts == [0, 0]
 
     @pytest.mark.parametrize("phase_offset", [0.2, -0.2, 2.0])
     def test_shifted_calibration_matches_dense_grid(self, precision_scans, phase_offset):

@@ -8,13 +8,20 @@ and statistical agreement with the per-block resource bound.
 import io
 import json
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from entsense import randomphase
+from entsense import randomphase, simulator
 from entsense.cli import analytic_calibration, main
-from entsense.errors import ConfigurationError, DomainError
+from entsense.errors import (
+    ConfigurationError,
+    DegenerateEstimateWarning,
+    DomainError,
+)
 from entsense.estimation import FringeFit, fit_fringe, fold_to_branch
 from entsense.model import (
     EfficiencyBudget,
@@ -259,6 +266,134 @@ class TestPrecisionScan:
             assert got.report == ref.report
         dbs = [m.report.db_below_snl for m in want]
         assert peak == dbs.index(max(dbs))
+
+
+class TestSetpointThreads:
+    """The blocked setpoints of precision_scan and the trials of
+    run_random_phase_experiment run on min(usable cores, setpoints)
+    threads, with the same results, warnings and errors as one by one."""
+
+    SOURCE = SourceParams(mu=1e-3, visibility=1.0)
+    EFF = EfficiencyBudget.uniform(0.9)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of every pool built through simulator's name."""
+        built = []
+
+        class CountingPool(simulator.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", CountingPool)
+        return built
+
+    def serial(self, us, k_bar, s, seed):
+        """measure_phase_point one setpoint after another, and the
+        warnings it records."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = [measure_phase_point(self.SOURCE, self.EFF, FringeFit.ideal(),
+                                        u, k_bar, s, seed=seed, setting_index=j)
+                    for j, u in enumerate(us)]
+        return want, caught
+
+    @staticmethod
+    def messages(caught):
+        assert all(issubclass(w.category, DegenerateEstimateWarning) for w in caught)
+        return sorted(str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_precision_scan_at_any_core_count(self, monkeypatch, pools, cores):
+        monkeypatch.setattr(randomphase, "_usable_cores", lambda: cores)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            thetas, measurements, peak = precision_scan(
+                self.SOURCE, self.EFF, FringeFit.ideal(), 9, 60, 12, seed=77)
+        assert pools == ([] if cores == 1 else [cores])
+        want, want_caught = self.serial([3.0 * t for t in thetas], 60, 12, 77)
+        assert measurements == want
+        assert self.messages(caught) == self.messages(want_caught)
+        assert len(caught) == 2  # two edge setpoints have boundary blocks
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_random_phase_at_any_core_count(self, monkeypatch, pools, cores):
+        monkeypatch.setattr(randomphase, "_usable_cores", lambda: cores)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_random_phase_experiment(
+                self.SOURCE, self.EFF, FringeFit.ideal(), 9, 100, 12, seed=360)
+        assert pools == ([] if cores == 1 else [cores])
+        want, want_caught = self.serial(
+            [3.0 * t.theta_true for t in result.trials], 100, 12, 360)
+        assert [t.measurement for t in result.trials] == want
+        assert self.messages(caught) == self.messages(want_caught)
+        assert len(caught) == 3  # trials 1, 6 and 8 sit near an extremum
+
+    def test_threads_capped_by_setpoints(self, monkeypatch, pools):
+        monkeypatch.setattr(randomphase, "_usable_cores", lambda: 4)
+        precision_scan(self.SOURCE, self.EFF, FringeFit.ideal(), 3, 300, 12, seed=77)
+        run_random_phase_experiment(self.SOURCE, self.EFF, FringeFit.ideal(),
+                                    1, 300, 12, seed=42)
+        run_random_phase_experiment(self.SOURCE, self.EFF, FringeFit.ideal(),
+                                    0, 300, 12, seed=42)
+        assert pools == [3]
+
+    def test_usable_cores(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert randomphase._usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert randomphase._usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert randomphase._usable_cores() == 1
+
+    def test_unknown_core_count_builds_no_pool(self, monkeypatch, pools):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        precision_scan(self.SOURCE, self.EFF, FringeFit.ideal(), 3, 300, 12, seed=77)
+        assert pools == []
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_first_failing_setpoint_raises(self, monkeypatch, cores):
+        # setpoints 3 and 7 fail; 3's error is raised and nothing past the
+        # 2 * threads setpoints in flight when it is consumed is started
+        called, lock = [], threading.Lock()
+        real = randomphase.measure_phase_point
+
+        def failing(*args, setting_index, **kwargs):
+            with lock:
+                called.append(setting_index)
+            if setting_index in (3, 7):
+                raise DomainError(f"setpoint {setting_index} failed")
+            return real(*args, setting_index=setting_index, **kwargs)
+
+        monkeypatch.setattr(randomphase, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(randomphase, "measure_phase_point", failing)
+        with pytest.raises(DomainError, match="^setpoint 3 failed$"):
+            precision_scan(self.SOURCE, self.EFF, FringeFit.ideal(), 12, 300, 12,
+                           seed=77)
+        assert set(range(4)) <= set(called)
+        assert max(called) < 3 + 2 * cores
+        assert len(called) == len(set(called))
+        if cores == 1:
+            assert called == [0, 1, 2, 3]
+
+    def test_failed_setpoint_leaves_no_output(self, monkeypatch, tmp_path, capsys):
+        real = randomphase.measure_phase_point
+
+        def failing(*args, setting_index, **kwargs):
+            if setting_index == 3:
+                raise DomainError("setpoint 3 failed")
+            return real(*args, setting_index=setting_index, **kwargs)
+
+        monkeypatch.setattr(randomphase, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(randomphase, "measure_phase_point", failing)
+        out = tmp_path / "out"
+        assert main(["precision", "--preset", "paper-240m", "--out", str(out)]) == 2
+        assert "setpoint 3 failed" in capsys.readouterr().err
+        assert not out.exists()  # so no manifest.json either
 
 
 class TestThresholdScan:
