@@ -17,7 +17,19 @@ Layout:
 - :mod:`entsense.resources`   photon accounting, SNL/HL, dB metric
 - :mod:`entsense.randomphase` precision and threshold scans, blind trials
 - :mod:`entsense.cli`         thin command-line shell over those runs
+
+Importing entsense before numpy sets OPENBLAS_NUM_THREADS to 1 unless
+it is already set, so that process gets single-threaded BLAS.
 """
+
+import os
+
+# numpy's bundled OpenBLAS starts a busy-waiting thread on its first
+# import, which holds a core the package's own thread pool needs for most
+# of a short run; entsense's BLAS work (a fringe fit's normal equations,
+# one (s, 4) x (4,) product per block solve) gains nothing from it.  The
+# setting must precede that import, and a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
     ConfigurationError,

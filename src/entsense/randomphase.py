@@ -23,7 +23,6 @@ any precision summary.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .simulator import (
     LANE_BLOCKS,
     LANE_TALLY,
     _ordered_map,
+    _usable_cores,
     cut_blocks,
     sample_blocked_run,
     sample_tally,
@@ -229,15 +229,6 @@ def precision_scan(source, eff, calibration, points, k_bar, s, *, seed):
     peak = max(range(len(measurements)),
                key=lambda i: measurements[i].report.db_below_snl)
     return thetas, measurements, peak
-
-
-def _usable_cores():
-    """Cores this process may run on: its affinity set where the platform
-    reports one, else os.cpu_count(), else 1."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0))
-    return os.cpu_count() or 1
 
 
 def _measure_setpoints(source, eff, calibration, us, k_bar, s, *, seed):

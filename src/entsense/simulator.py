@@ -12,7 +12,8 @@ results in (setting, chunk) order; the output is therefore bit-identical
 for any worker count, including zero (sequential).  A threaded run feeds
 every (setting, chunk) item of the run to one pool, with at most
 2 * workers chunks in flight across setting boundaries; the same ordered
-map runs the blocked setpoints of randomphase, each on its own stream.
+map runs the blocked setpoints of randomphase, each on its own stream,
+and parses the event-log reader's text blocks.
 
 Two sampling paths are exposed:
 
@@ -45,10 +46,12 @@ Two sampling paths are exposed:
 from __future__ import annotations
 
 import io
+import os
 from collections import deque
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -97,7 +100,8 @@ _CHUNK_LIMIT = 1 << 32  # chunk indices the stream key's low 32 bits hold
 # the most pulses a setting can draw at the default chunk size
 MAX_PULSES_PER_SETTING = (_CHUNK_LIMIT - 1) * _DEFAULT_CHUNK
 _LOG_SLICE = 1 << 13  # rows formatted at once; sizes the writer's buffers
-_LOG_CHARS = 1 << 18  # characters read at once; bounds the reader's text block
+# characters read at once: a reader's text block, of which 2 * threads are in flight
+_LOG_CHARS = 1 << 17
 _INT64_MAX = np.iinfo(np.int64).max
 
 EVENT_LOG_HEADER = "pulse_index,setting_index,pattern,truth_pairs"
@@ -349,9 +353,11 @@ def _ordered_map(fn, items, workers):
     one ThreadPoolExecutor of `workers` threads runs the items, with at
     most 2 * workers of them submitted and not yet consumed, so a slow
     consumer (the event-log writer) holds at most that many results in
-    memory.  The first item to raise, in item order, raises here, and
-    the items not yet started are cancelled; the pool is shut down when
-    the generator finishes or is closed.
+    memory.  items is drawn lazily on the calling thread, at most one
+    past those submitted, so it may read a file or a pipe.  The first
+    item to raise, in item order, raises here, and the items not yet
+    started are cancelled; the pool is shut down when the generator
+    finishes or is closed.
     """
     if not workers or workers <= 1:
         yield from map(fn, items)
@@ -368,6 +374,15 @@ def _ordered_map(fn, items, workers):
         finally:
             for future in pending:
                 future.cancel()
+
+
+def _usable_cores():
+    """Cores this process may run on: its affinity set where the platform
+    reports one, else os.cpu_count(), else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
 
 
 def _write_log_chunk(fh, lo, setting_index, patterns, m):
@@ -446,9 +461,14 @@ def read_event_log(path_or_file):
     a last line without its "\n", nor a byte outside ASCII.  A path is
     opened as latin-1 with newline="\n", so every byte reaches that check
     as it is; a file object is read as its caller decodes it.  The log is
-    read once, in blocks of whole lines of about _LOG_CHARS characters,
-    each parsed by _parse_log_block, into running per-setting totals, so
-    memory is bounded by one text block plus the informative events.
+    read once, by the calling thread, in blocks of whole lines of about
+    _LOG_CHARS characters.  The blocks go through _ordered_map on
+    min(usable cores, blocks) threads (the block count is known for a
+    path only), where _summarize_log_block parses each and reduces it to
+    per-setting summaries; the calling thread merges the summaries in
+    block order into running per-setting totals.  So memory is bounded
+    by 2 * threads blocks in flight, text and summary, plus the
+    informative events, and the result is the same at any thread count.
     Returns an ExperimentResult whose tallies are ordered by setting
     index, with each setting's informative click patterns (uint8, in log
     order) as its patterns, for callers that cut blocks by arrival.
@@ -456,66 +476,112 @@ def read_event_log(path_or_file):
     being line 1, and the setting and pulse_index of a pattern above 15.
     So does a setting whose pulse_index column, in log order, is not 0,
     1, ..., P-1: a log with pulses left out or repeated would audit a
-    post-selected record as complete.  Settings may interleave.
+    post-selected record as complete.  Settings may interleave.  The
+    first error in log order is raised: within a block, a line's form,
+    then a pattern's range, then pulse_index order, setting by setting.
     """
     if not hasattr(path_or_file, "read"):
         with open(Path(path_or_file), encoding="latin-1", newline="\n") as fh:
-            return read_event_log(fh)
-    first = path_or_file.readline()
+            blocks = os.fstat(fh.fileno()).st_size // _LOG_CHARS + 1
+            return _read_log_blocks(fh, min(_usable_cores(), blocks))
+    return _read_log_blocks(path_or_file, _usable_cores())
+
+
+def _read_log_blocks(fh, threads):
+    """read_event_log of an open text file, on `threads` threads."""
+    first = fh.readline()
     if first != EVENT_LOG_HEADER + "\n":
         first = first.removesuffix("\n")
         raise ConfigurationError(
             f"event log: line 1 ({first!r}) is not the header "
             f"{EVENT_LOG_HEADER!r} ended by '\\n'")
+
+    def texts():
+        # a block of whole lines: _LOG_CHARS characters and the rest of the last line
+        while text := fh.read(_LOG_CHARS) + fh.readline():
+            yield text
+
     counts, truth, informative = {}, {}, {}
     pulses = {}  # per setting: the pulses read, so the pulse_index expected next
     line = 1  # lines read
-    # a block of whole lines: _LOG_CHARS characters and the rest of the last line
-    while text := path_or_file.read(_LOG_CHARS) + path_or_file.readline():
-        rows = _parse_log_block(text)
-        if rows is None:  # name the first line refused on its own
-            lines = enumerate(io.StringIO(text, newline="\n"), start=line + 1)
-            number, bad = next((number, row.removesuffix("\n")) for number, row in lines
-                               if _parse_log_block(row) is None)
-            raise ConfigurationError(
-                f"event log: line {number} ({bad!r}) is not 4 unsigned integers "
-                f"joined by ',' and ended by '\\n'")
-        line += len(rows)
-        out_of_range = rows[:, 2] >= N_PATTERNS
-        if out_of_range.any():
-            index, s_idx, pattern, _ = rows[np.argmax(out_of_range)].tolist()
-            raise ConfigurationError(
-                f"event log: setting {s_idx}, pulse_index {index} has pattern "
-                f"{pattern}, outside 0..{N_PATTERNS - 1}")
-        settings = rows[:, 1]
-        if (settings == settings[0]).all():  # the usual block: one setting
-            groups = [(int(settings[0]), rows)]
-        else:  # gathers by row number beat a mask
-            groups = ((s_idx, rows[np.flatnonzero(settings == s_idx)])
-                      for s_idx in np.unique(settings).tolist())
-        for s_idx, own in groups:
-            index = own[:, 0]
-            done = pulses.get(s_idx, 0)
-            gap = np.flatnonzero(index != np.arange(done, done + len(index)))
-            if gap.size:
+    with closing(_ordered_map(_summarize_log_block, texts(), threads)) as summaries:
+        for lines, bad, settings in summaries:
+            if bad is not None:
+                number, row = bad
                 raise ConfigurationError(
-                    f"event log: setting {s_idx} has pulse_index {index[gap[0]]} "
-                    f"where {done + gap[0]} is expected; each setting's pulses "
-                    f"must run 0, 1, 2, ... in log order, none left out or repeated"
-                )
-            pulses[s_idx] = done + len(index)
-            truth[s_idx] = truth.get(s_idx, 0) + int(own[:, 3].sum())
-            stream = own[:, 2]
-            counts[s_idx] = (counts.get(s_idx, 0)
-                             + np.bincount(stream, minlength=N_PATTERNS))
-            kept = stream[_SLOT_OF_PATTERN[stream] >= 0].astype(np.uint8)
-            informative.setdefault(s_idx, []).append(kept)
+                    f"event log: line {line + number} ({row!r}) is not 4 unsigned "
+                    f"integers joined by ',' and ended by '\\n'")
+            line += lines
+            for block in settings:
+                s_idx, done = block.setting, pulses.get(block.setting, 0)
+                gap = (0, block.first) if block.first != done else block.gap
+                if gap is not None:
+                    raise ConfigurationError(
+                        f"event log: setting {s_idx} has pulse_index {gap[1]} "
+                        f"where {done + gap[0]} is expected; each setting's pulses "
+                        f"must run 0, 1, 2, ... in log order, none left out or repeated"
+                    )
+                pulses[s_idx] = done + block.rows
+                truth[s_idx] = truth.get(s_idx, 0) + block.truth
+                counts[s_idx] = counts.get(s_idx, 0) + block.counts
+                informative.setdefault(s_idx, []).append(block.informative)
     if not pulses:
         raise EmptyStatisticsError("event log has no rows")
     order = sorted(pulses)
     return ExperimentResult([Tally(counts[s], setting_index=s) for s in order],
                             [truth[s] for s in order], [pulses[s] for s in order],
                             [np.concatenate(informative[s]) for s in order])
+
+
+class _SettingBlock(NamedTuple):
+    """One setting's rows in one text block of an event log."""
+
+    setting: int
+    rows: int
+    first: int  # the first row's pulse_index
+    gap: tuple | None  # (row j, its pulse_index) of the first j > 0 not first + j
+    counts: np.ndarray  # the 16 pattern counts
+    truth: int  # the truth_pairs sum
+    informative: np.ndarray  # the informative patterns, uint8, in log order
+
+
+def _summarize_log_block(text):
+    """One block of whole event-log lines, parsed and reduced per setting.
+
+    Returns (lines, bad, settings).  When the block is not in the
+    writer's form, bad is (number, line) of its first line refused on its
+    own, numbered from 1 within the block.  Otherwise lines is the
+    block's line count and settings its _SettingBlock summaries in
+    setting order.  A pattern above 15 raises ConfigurationError, naming
+    the block's first such row.
+    """
+    rows = _parse_log_block(text)
+    if rows is None:
+        numbered = enumerate(io.StringIO(text, newline="\n"), start=1)
+        return 0, next((number, row.removesuffix("\n")) for number, row in numbered
+                       if _parse_log_block(row) is None), []
+    out_of_range = rows[:, 2] >= N_PATTERNS
+    if out_of_range.any():
+        index, s_idx, pattern, _ = rows[np.argmax(out_of_range)].tolist()
+        raise ConfigurationError(
+            f"event log: setting {s_idx}, pulse_index {index} has pattern "
+            f"{pattern}, outside 0..{N_PATTERNS - 1}")
+    settings = rows[:, 1]
+    if (settings == settings[0]).all():  # the usual block: one setting
+        groups = [(int(settings[0]), rows)]
+    else:  # gathers by row number beat a mask
+        groups = [(s_idx, rows[np.flatnonzero(settings == s_idx)])
+                  for s_idx in np.unique(settings).tolist()]
+    summaries = []
+    for s_idx, own in groups:
+        index, stream = own[:, 0], own[:, 2]
+        gap = np.flatnonzero(np.diff(index) != 1)[:1] + 1
+        summaries.append(_SettingBlock(
+            s_idx, len(own), int(index[0]),
+            (int(gap[0]), int(index[gap[0]])) if gap.size else None,
+            np.bincount(stream, minlength=N_PATTERNS), int(own[:, 3].sum()),
+            stream[_SLOT_OF_PATTERN[stream] >= 0].astype(np.uint8)))
+    return len(rows), None, summaries
 
 
 def _parse_log_block(text):
@@ -575,14 +641,6 @@ class BlockedRunSample:
     block_counts: np.ndarray
     tally: Tally
     pulses: int
-
-    @property
-    def s(self):
-        return self.block_counts.shape[0]
-
-    @property
-    def k_bar(self):
-        return int(self.block_counts[0].sum()) if self.s else 0
 
 
 def cut_blocks(patterns, k_bar, s):

@@ -128,6 +128,19 @@ class TestArgumentHandling:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
+    def test_import_asks_for_one_blas_thread(self, preset, want):
+        # set before numpy's first import; a value the user set wins
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        probe = ("import os, sys, entsense; assert 'numpy' in sys.modules; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env={**env, "PYTHONPATH": src})
+        assert out.stdout.strip() == want
+
 
 class TestConfigErrors:
     def test_non_utf8_config_byte_fails_cleanly(self, tmp_path, capsys):
@@ -729,6 +742,18 @@ def assert_recorded_digests(got):
 def test_event_log_bytes_match_recorded_digests(tmp_path):
     # the logged runs' event logs, audit and fringe files, pinned
     assert_recorded_digests(run_digests(tmp_path, logged_runs(tmp_path)))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.filterwarnings("ignore::entsense.errors.DegenerateEstimateWarning")
+def test_audit_bytes_at_any_core_count(tmp_path, monkeypatch, pools, cores):
+    # the logged set's audit reads its log on 1 and on 2 threads, and
+    # writes the recorded bytes on both
+    monkeypatch.setattr(simulator, "_usable_cores", lambda: cores)
+    runs = [(name, argv) for name, argv in logged_runs(tmp_path)
+            if name != "fringe --workers 2"]
+    assert_recorded_digests(run_digests(tmp_path, runs))
+    assert pools == ([] if cores == 1 else [cores])
 
 
 @pytest.mark.filterwarnings("ignore::entsense.errors.DegenerateEstimateWarning")

@@ -276,19 +276,6 @@ class TestSetpointThreads:
     SOURCE = SourceParams(mu=1e-3, visibility=1.0)
     EFF = EfficiencyBudget.uniform(0.9)
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """max_workers of every pool built through simulator's name."""
-        built = []
-
-        class CountingPool(simulator.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                built.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", CountingPool)
-        return built
-
     def serial(self, us, k_bar, s, seed):
         """measure_phase_point one setpoint after another, and the
         warnings it records."""

@@ -5,6 +5,7 @@ test_model) is the oracle for every sampled frequency here.
 """
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -721,9 +722,10 @@ class TestLogReader:
         result = run_experiment(cfg, event_log=path)
         parse, blocks = simulator._parse_log_block, []
 
-        def spy(text):
-            blocks.append(parse(text))
-            return blocks[-1]
+        def spy(text):  # called on the reader's worker threads
+            rows = parse(text)
+            blocks.append(rows)
+            return rows
 
         monkeypatch.setattr(simulator, "_parse_log_block", spy)
         back = read_event_log(path)
@@ -750,6 +752,203 @@ class TestLogReader:
                 read += 1
             assert got == plain_parse(body), body
         assert read  # leading zeros, for one, still read
+
+
+def block_first_lines(text):
+    """The line number, the header being line 1, of each text block's
+    first line, cut as the reader cuts a log: _LOG_CHARS characters and
+    the rest of the last line."""
+    fh = io.StringIO(text, newline="\n")
+    fh.readline()
+    firsts, line = [], 2
+    while block := fh.read(simulator._LOG_CHARS) + fh.readline():
+        firsts.append(line)
+        line += block.count("\n")
+    return firsts
+
+
+@functools.cache
+def interleaved_log():
+    """A log of 60,000 rows whose setting, 0, 1 or 2, is drawn for each
+    row, so every text block holds all three and each runs on across
+    every block edge; with each row's setting, pattern and truth_pairs."""
+    rng = np.random.default_rng(21)
+    setting = rng.integers(0, 3, 60_000)
+    pattern = rng.integers(0, N_PATTERNS, 60_000)
+    truth = rng.integers(0, 4, 60_000)
+    index = np.zeros(60_000, dtype=np.int64)
+    for s in range(3):
+        index[setting == s] = np.arange(np.count_nonzero(setting == s))
+    text = EVENT_LOG_HEADER + "\n" + "".join(
+        f"{i},{s},{p},{t}\n" for i, s, p, t in zip(index.tolist(), setting.tolist(),
+                                                  pattern.tolist(), truth.tolist()))
+    return text, setting, pattern, truth
+
+
+def with_line(text, number, line):
+    """text with its line `number` (the header being 1) replaced by line."""
+    lines = text.split("\n")
+    lines[number - 1] = line
+    return "\n".join(lines)
+
+
+class TestPooledReader:
+    """The reader parses its text blocks on min(usable cores, blocks)
+    threads and merges them in block order: the same result, and the
+    same first error, at any core count."""
+
+    @staticmethod
+    def read_both(tmp_path, text):
+        """read_event_log of text from a path, then from a pipe."""
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        with piped(text) as fh:
+            return read_event_log(path), read_event_log(fh)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_same_result_at_any_core_count(self, tmp_path, monkeypatch, pools, cores):
+        text, setting, pattern, truth = interleaved_log()
+        assert len(block_first_lines(text)) > 4
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: cores)
+        results = self.read_both(tmp_path, text)
+        assert pools == ([] if cores == 1 else [cores, cores])
+        for back in results:
+            assert back.pulses == np.bincount(setting).tolist()
+            assert back.truth_pairs == np.bincount(setting, weights=truth).astype(int).tolist()
+            for s in range(3):
+                want = np.bincount(pattern[setting == s], minlength=N_PATTERNS)
+                assert back.tallies[s] == Tally(want, setting_index=s)
+                own = pattern[setting == s]
+                assert back.patterns[s].dtype == np.uint8
+                assert back.patterns[s].tolist() == own[np.isin(own, INFORMATIVE_PATTERNS)].tolist()
+
+    def test_threads_capped_by_blocks(self, tmp_path, monkeypatch, pools):
+        # a path's size bounds its blocks, so a one-block log is read
+        # serially; a pipe's size is unknown
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: 4)
+        text = EVENT_LOG_HEADER + "\n" + "".join(f"{i},0,5,1\n" for i in range(1000))
+        for back in self.read_both(tmp_path, text):
+            assert back.pulses == [1000]
+        assert pools == [4]
+        monkeypatch.setattr(simulator, "_LOG_CHARS", 4096)
+        self.read_both(tmp_path, text)
+        assert pools == [4, 3, 4]
+
+    def malformed_in_blocks_3_and_5(self, text):
+        firsts = block_first_lines(text)
+        for number in (firsts[4] + 7, firsts[2] + 7):
+            row = text.split("\n")[number - 1]
+            text = with_line(text, number, row.replace(",", ";", 1))
+        bad = text.split("\n")[firsts[2] + 6]
+        return text, refusal(firsts[2] + 7, bad)
+
+    def pattern_above_15(self, text):
+        # a two-digit pattern in block 4 becomes 99, and block 5 holds a
+        # malformed line; the block edges stay where they were
+        firsts = block_first_lines(text)
+        lines = text.split("\n")
+        number = next(n for n in range(firsts[3], firsts[4])
+                      if len(lines[n - 1].split(",")[2]) == 2)
+        i, s, _, t = lines[number - 1].split(",")
+        text = with_line(text, number, f"{i},{s},99,{t}")
+        text = with_line(text, firsts[4] + 2, lines[firsts[4] + 1] + ",0")
+        return text, f"setting {s}, pulse_index {i} has pattern 99, outside 0..15"
+
+    def gap_at_a_block_edge(self, text, inside=0):
+        # the pulse_index of block 3's first row of one setting (or its
+        # row `inside` rows later), one too high, where the setting's last
+        # row before it is in block 2 (or earlier in block 3)
+        firsts = block_first_lines(text)
+        lines = text.split("\n")
+        number = firsts[2]
+        s = lines[number - 1].split(",")[1]
+        for _ in range(inside):
+            number = next(n for n in range(number + 1, firsts[3])
+                          if lines[n - 1].split(",")[1] == s)
+        i, _, p, t = lines[number - 1].split(",")
+        text = with_line(text, number, f"{int(i) + 1},{s},{p},{t}")
+        return text, f"setting {s} has pulse_index {int(i) + 1} where {i} is expected"
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("case", ["malformed", "pattern", "gap-at-edge", "gap-inside"])
+    def test_same_first_error_at_any_core_count(self, tmp_path, monkeypatch, cores, case):
+        text = interleaved_log()[0]
+        if case == "malformed":
+            text, message = self.malformed_in_blocks_3_and_5(text)
+        elif case == "pattern":
+            text, message = self.pattern_above_15(text)
+        else:
+            text, message = self.gap_at_a_block_edge(text, 0 if case == "gap-at-edge" else 5)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: cores)
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            read_event_log(path)
+        with piped(text) as fh, pytest.raises(ConfigurationError, match=re.escape(message)):
+            read_event_log(fh)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_blocks_in_flight_are_bounded(self, tmp_path, monkeypatch, workers):
+        # behind a slow merge, at most 2 * workers blocks may be parsed
+        # and not yet merged; the truth sum is an int subclass whose
+        # reflected add is a step of the merge, once a block in a log of
+        # one setting
+        lock = threading.Lock()
+        state = {"started": 0, "consumed": 0, "peak": 0}
+        real = simulator._summarize_log_block
+
+        class SlowTruth(int):
+            def __radd__(self, other):
+                time.sleep(0.003)
+                with lock:
+                    state["consumed"] += 1
+                return other + int(self)
+
+        def summarize(text):
+            with lock:
+                state["started"] += 1
+                state["peak"] = max(state["peak"], state["started"] - state["consumed"])
+            lines, bad, settings = real(text)
+            return lines, bad, [block._replace(truth=SlowTruth(block.truth))
+                                for block in settings]
+
+        path = tmp_path / "events.csv"
+        path.write_text(EVENT_LOG_HEADER + "\n"
+                        + "".join(f"{i},0,{i % 16},{i % 3}\n" for i in range(20_000)))
+        monkeypatch.setattr(simulator, "_LOG_CHARS", 4096)
+        blocks = len(block_first_lines(path.read_text()))
+        serial = read_event_log(path)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(simulator, "_summarize_log_block", summarize)
+        back = read_event_log(path)
+        assert state["started"] == state["consumed"] == blocks > 4 * workers
+        assert state["peak"] <= 2 * workers
+        assert (back.tallies, back.truth_pairs, back.pulses) == (
+            serial.tallies, serial.truth_pairs, serial.pulses)
+        assert [p.tolist() for p in back.patterns] == [p.tolist() for p in serial.patterns]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_early_error_stops_the_reading(self, monkeypatch, workers):
+        # a log malformed in its 2nd block raises with at most 2 + 2 *
+        # workers of its blocks read
+        class CountingReads(io.StringIO):
+            def read(self, size=-1):
+                self.reads += 1
+                return super().read(size)
+
+        monkeypatch.setattr(simulator, "_LOG_CHARS", 4096)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: workers)
+        text = EVENT_LOG_HEADER + "\n" + "".join(f"{i},0,5,1\n" for i in range(40_000))
+        firsts = block_first_lines(text)
+        number = firsts[1] + 3
+        text = with_line(text, number, f"{number - 2},0,5")
+        fh = CountingReads(text, newline="\n")
+        fh.reads = 0
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(refusal(number, f"{number - 2},0,5"))):
+            read_event_log(fh)
+        assert len(firsts) > 10 * workers
+        assert fh.reads <= 2 + 2 * workers
 
 
 # a small canonical log body of two interleaved settings, and the bytes
@@ -940,7 +1139,6 @@ class TestBlockedRun:
         np.testing.assert_array_equal(run.block_counts.sum(axis=1), 400)
         assert run.tally.c_sum == 400 * 50
         assert run.tally.total == run.pulses
-        assert run.s == 50 and run.k_bar == 400
 
     def test_pulse_level_bookkeeping(self):
         rng = stream_generator(32, LANE_PULSES)
