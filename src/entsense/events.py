@@ -27,7 +27,6 @@ from .model import (
     COINCIDENCE_PATTERNS,
     INFORMATIVE_PATTERNS,
     N_PATTERNS,
-    pattern_bits,
     pattern_is_informative,
 )
 
@@ -67,11 +66,6 @@ class EventType(IntEnum):
     A1B1B2 = 0b1101
     A2B1B2 = 0b1110
     A1A2B1B2 = 0b1111
-
-    @property
-    def channels(self) -> tuple[str, ...]:
-        """Detector channels that clicked, in (A1, A2, B1, B2) order."""
-        return pattern_bits(int(self))
 
     @property
     def multiplicity(self) -> int:

@@ -39,7 +39,6 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "ALPHA",
     "CHANNELS",
-    "CHANNEL_BIT",
     "COINCIDENCE_CHANNELS",
     "COINCIDENCE_PATTERNS",
     "GLOBAL_PHASE_PERIOD",
@@ -55,14 +54,12 @@ __all__ = [
     "fisher_matrix",
     "fisher_per_informative_event",
     "global_phase",
-    "pattern_bits",
     "pattern_distribution",
     "pattern_is_informative",
 ]
 
 N_PATTERNS = 16
 CHANNELS = ("A1", "A2", "B1", "B2")
-CHANNEL_BIT = {"A1": 0, "A2": 1, "B1": 2, "B2": 3}
 _ALICE_MASK = 0b0011
 _BOB_MASK = 0b1100
 
@@ -76,13 +73,6 @@ GLOBAL_PHASE_PERIOD = 2.0 * math.pi / 3.0
 # quartet of coincidence values appears.
 COINCIDENCE_CHANNELS = ("A1B1", "A1B2", "A2B1", "A2B2")
 COINCIDENCE_PATTERNS = (0b0101, 0b1001, 0b0110, 0b1010)
-
-
-def pattern_bits(pattern):
-    """Channel names clicked in a 4-bit pattern, in (A1, A2, B1, B2) order."""
-    if not 0 <= pattern < N_PATTERNS:
-        raise DomainError(f"click pattern must be in [0, 15], got {pattern}")
-    return tuple(ch for ch in CHANNELS if pattern & (1 << CHANNEL_BIT[ch]))
 
 
 def pattern_is_informative(pattern):

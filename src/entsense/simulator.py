@@ -6,14 +6,15 @@ counter-based streams: a chunk of work owns the Philox generator keyed by
     key = [seed, (lane << 56) | (setting_index << 32) | (chunk_index)]
 
 so any chunk's stream is reproducible in isolation and independent of
-every other chunk.  A run splits each setting's pulse range into
-fixed-size chunks, samples each chunk on its own stream, and reduces the
-results in (setting, chunk) order; the output is therefore bit-identical
-for any worker count, including zero (sequential).  A threaded run feeds
-every (setting, chunk) item of the run to one pool, with at most
-2 * workers chunks in flight across setting boundaries; the same ordered
-map runs the blocked setpoints of randomphase, each on its own stream,
-and parses the event-log reader's text blocks.
+every other chunk.  The pulse path has one chunk loop, _run_streams,
+behind run_experiment: it splits each stream's (setting's) pulse range
+into fixed-size chunks, samples each chunk on its own stream, and
+reduces the results in (setting, chunk) order; the output is therefore
+bit-identical for any worker count, including zero (sequential).  A
+threaded run feeds every (setting, chunk) item of the run to one pool,
+with at most 2 * workers chunks in flight across setting boundaries; the
+same ordered map runs the blocked setpoints of randomphase, each on its
+own stream, and parses the event-log reader's text blocks.
 
 Two sampling paths are exposed:
 
@@ -168,16 +169,23 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"pulses_per_setting must be an integer >= 1, got {self.pulses_per_setting}"
             )
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be an integer >= 1, got {self.chunk_size}"
-            )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigurationError(f"seed must be a 64-bit unsigned, got {self.seed}")
-        if len(settings) >= 2**24:
-            raise ConfigurationError("too many settings for the stream layout")
-        n_chunks = -(-self.pulses_per_setting // self.chunk_size)
-        if n_chunks >= _CHUNK_LIMIT:
+        _check_stream_layout(self.seed, self.chunk_size, len(settings),
+                             [self.pulses_per_setting])
+
+
+def _check_stream_layout(seed, chunk_size, n_streams, pulses):
+    """Refuse a run of n_streams pulse streams of the given pulse counts,
+    cut into chunks of chunk_size, that the stream key cannot hold."""
+    if not 0 <= int(seed) < 2**64:
+        raise ConfigurationError(f"seed must be a 64-bit unsigned, got {seed}")
+    if not isinstance(chunk_size, int) or chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be an integer >= 1, got {chunk_size}")
+    if n_streams >= 2**24:
+        raise ConfigurationError("too many settings for the stream layout")
+    for n in pulses:
+        if not isinstance(n, int) or n < 0:
+            raise ConfigurationError(f"pulse count must be an integer >= 0, got {n!r}")
+        if -(-n // chunk_size) >= _CHUNK_LIMIT:
             raise ConfigurationError("too many chunks for the stream layout")
 
 
@@ -296,39 +304,51 @@ def tally_pulses(source, eff, u, rng, n):
 
 
 def run_experiment(config, *, workers=None, event_log=None):
-    """Run the full pulse-path acquisition described by config.
+    """Run the full pulse-path acquisition described by config: setting i
+    is stream i of _run_streams, the pulse path's one chunk loop, at
+    u = 3 * global_phase(setting).  A PhaseSetting is fully checked when
+    it is built, so no setting fails part way through a run."""
+    streams = [(config.source, config.eff, 3.0 * global_phase(setting),
+                config.pulses_per_setting) for setting in config.settings]
+    return _run_streams(streams, config.seed, config.chunk_size,
+                        workers=workers, event_log=event_log)
 
-    Deterministic given (config.seed, config.chunk_size): chunk streams
-    are keyed by (seed, setting, chunk) and reduced in (setting, chunk)
-    order, so any worker count gives bit-identical tallies and event logs.
-    The chunks go through _ordered_map: one pool of `workers` threads
-    serves the whole run (none when workers is unset or 1) and keeps at
-    most 2 * workers chunks in flight, across setting boundaries.  Each
-    chunk's 16 counts are added into its setting's int64 row.  A
-    PhaseSetting is fully checked when it is built, so no setting fails
-    part way through a run.  When event_log is a path or writable text
-    file, every pulse is appended as
-    `pulse_index,setting_index,pattern,truth_pairs`; without a log each
-    chunk is reduced by tally_pulses, with the same draws.
+
+def _run_streams(streams, seed, chunk_size, *, workers=None, event_log=None):
+    """The pulse path's one chunk loop: pulse streams (source, eff, u,
+    pulses), stream i on setting index i, as an ExperimentResult.
+
+    Each stream's pulses are cut at multiples of chunk_size, the last
+    chunk short; chunk c of stream i draws on the generator keyed by
+    (seed, LANE_PULSES, i, c), and the chunks are reduced in (stream,
+    chunk) order, so any worker count gives bit-identical tallies and
+    event logs.  The chunks go through _ordered_map: one pool of
+    `workers` threads serves the whole run (none when workers is unset or
+    1) and keeps at most 2 * workers chunks in flight, across stream
+    boundaries.  Each chunk's 16 counts are added into its stream's int64
+    row.  When event_log is a path or writable text file, every pulse is
+    appended as `pulse_index,setting_index,pattern,truth_pairs`; without
+    a log each chunk is reduced by tally_pulses, with the same draws.  A
+    run outside the stream layout is refused before its first draw.
     """
-    phases = [3.0 * global_phase(setting) for setting in config.settings]
-    pulses, chunk_size = config.pulses_per_setting, config.chunk_size
-    work = [(s_idx, c_idx, lo, min(chunk_size, pulses - lo))
-            for s_idx in range(len(phases))
-            for c_idx, lo in enumerate(range(0, pulses, chunk_size))]
+    _check_stream_layout(seed, chunk_size, len(streams),
+                         (pulses for *_, pulses in streams))
+    work = ((s_idx, c_idx, lo, min(chunk_size, pulses - lo))
+            for s_idx, (*_, pulses) in enumerate(streams)
+            for c_idx, lo in enumerate(range(0, pulses, chunk_size)))
 
     def draw(item):
         s_idx, c_idx, lo, size = item
-        rng = stream_generator(config.seed, LANE_PULSES, s_idx, c_idx)
-        args = (config.source, config.eff, phases[s_idx], rng, size)
+        rng = stream_generator(seed, LANE_PULSES, s_idx, c_idx)
+        args = (*streams[s_idx][:3], rng, size)
         if event_log is None:
             return s_idx, lo, *tally_pulses(*args), None
         patterns, m = sample_patterns(*args)
         return (s_idx, lo, np.bincount(patterns, minlength=N_PATTERNS),
                 int(m.sum(dtype=np.int64)), (patterns, m))
 
-    counts = np.zeros((len(phases), N_PATTERNS), dtype=np.int64)
-    truth = [0] * len(phases)
+    counts = np.zeros((len(streams), N_PATTERNS), dtype=np.int64)
+    truth = [0] * len(streams)
     to_file = event_log is not None and not hasattr(event_log, "write")
     with (
         open(Path(event_log), "w", newline="") if to_file
@@ -343,7 +363,7 @@ def run_experiment(config, *, workers=None, event_log=None):
             if rows is not None:
                 _write_log_chunk(log_fh, lo, s_idx, *rows)
     tallies = [Tally(row, setting_index=s_idx) for s_idx, row in enumerate(counts)]
-    return ExperimentResult(tallies, truth, [pulses] * len(phases))
+    return ExperimentResult(tallies, truth, [pulses for *_, pulses in streams])
 
 
 def _ordered_map(fn, items, workers):
@@ -574,12 +594,14 @@ def _summarize_log_block(text):
                   for s_idx in np.unique(settings).tolist()]
     summaries = []
     for s_idx, own in groups:
-        index, stream = own[:, 0], own[:, 2]
+        index, stream, m = own[:, 0], own[:, 2], own[:, 3]
         gap = np.flatnonzero(np.diff(index) != 1)[:1] + 1
+        wraps = int(m.max()) * len(m) > _INT64_MAX  # an int64 sum might wrap
         summaries.append(_SettingBlock(
             s_idx, len(own), int(index[0]),
             (int(gap[0]), int(index[gap[0]])) if gap.size else None,
-            np.bincount(stream, minlength=N_PATTERNS), int(own[:, 3].sum()),
+            np.bincount(stream, minlength=N_PATTERNS),
+            sum(m.tolist()) if wraps else int(m.sum()),
             stream[_SLOT_OF_PATTERN[stream] >= 0].astype(np.uint8)))
     return len(rows), None, summaries
 

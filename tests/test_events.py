@@ -65,7 +65,6 @@ class TestTaxonomy:
         assert EventType["A1A2B1B2"] is EventType.A1A2B1B2
 
     def test_channel_views(self):
-        assert EventType.A2B1.channels == ("A2", "B1")
         assert EventType.A1A2B1B2.multiplicity == 4
         assert EventType.NoClick.multiplicity == 0
 

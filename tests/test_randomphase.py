@@ -329,12 +329,12 @@ class TestSetpointThreads:
 
     def test_usable_cores(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert randomphase._usable_cores() == len(os.sched_getaffinity(0))
+            assert simulator._usable_cores() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert randomphase._usable_cores() == 3
+        assert simulator._usable_cores() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert randomphase._usable_cores() == 1
+        assert simulator._usable_cores() == 1
 
     def test_unknown_core_count_builds_no_pool(self, monkeypatch, pools):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -4,6 +4,7 @@ The analytic pattern distribution (itself brute-force-verified in
 test_model) is the oracle for every sampled frequency here.
 """
 
+import collections.abc
 import contextlib
 import functools
 import io
@@ -651,6 +652,80 @@ class TestRunExperiment:
             self.make_config(seed=-1)
 
 
+def reference_streams(streams, seed, chunk_size):
+    """Per-stream counts and truth totals of pulse streams (source, eff,
+    u, pulses), each chunk drawn on its own keyed generator, one after
+    another: the loop that _run_streams runs for every pulse-path caller."""
+    counts, truth = [], []
+    for s_idx, (source, eff, u, pulses) in enumerate(streams):
+        row, total = np.zeros(N_PATTERNS, dtype=np.int64), 0
+        for c_idx, lo in enumerate(range(0, pulses, chunk_size)):
+            rng = stream_generator(seed, LANE_PULSES, s_idx, c_idx)
+            chunk_counts, chunk_truth = tally_pulses(
+                source, eff, u, rng, min(chunk_size, pulses - lo))
+            row += chunk_counts
+            total += chunk_truth
+        counts.append(row.tolist())
+        truth.append(total)
+    return counts, truth
+
+
+class ManyStreams(collections.abc.Sequence):
+    """2^24 copies of one stream, without a list of that many."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __len__(self):
+        return 2**24
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self.stream
+
+
+class TestRunStreams:
+    CHUNK = 1 << 14
+    STREAMS = [
+        (SRC_240M, EFF_240M, 0.9, 3 * CHUNK + 1234),  # a short final chunk
+        (SourceParams(mu=0.1, visibility=1.0, n_max=4), EfficiencyBudget.uniform(0.6),
+         0.5 * math.pi, 2 * CHUNK),
+        (SourceParams(mu=0.02, visibility=0.9, n_max=3), EfficiencyBudget.uniform(0.9),
+         2.4, 5_000),  # shorter than a chunk
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_the_per_chunk_reference(self, pools, workers):
+        result = simulator._run_streams(self.STREAMS, 8080, self.CHUNK, workers=workers)
+        counts, truth = reference_streams(self.STREAMS, 8080, self.CHUNK)
+        assert [tally.counts.tolist() for tally in result.tallies] == counts
+        assert [tally.setting_index for tally in result.tallies] == [0, 1, 2]
+        assert result.truth_pairs == truth
+        assert result.pulses == [pulses for *_, pulses in self.STREAMS]
+        assert pools == ([] if workers == 1 else [2])
+
+    @pytest.mark.parametrize("streams, seed, chunk_size", [
+        pytest.param(ManyStreams(STREAMS[0]), 1, CHUNK, id="2^24-streams"),
+        pytest.param([STREAMS[0], (SRC_240M, EFF_240M, 0.9, 2**32)], 1, 1,
+                     id="2^32-chunks"),
+        pytest.param([STREAMS[0], (SRC_240M, EFF_240M, 0.9, -1)], 1, CHUNK,
+                     id="negative-pulses"),
+        pytest.param([STREAMS[0], (SRC_240M, EFF_240M, 0.9, 5_000.0)], 1, CHUNK,
+                     id="non-integer-pulses"),
+        pytest.param(STREAMS, 2**64, CHUNK, id="seed"),
+        pytest.param(STREAMS, 1, 0, id="chunk-size"),
+    ])
+    def test_refused_before_any_draw(self, tmp_path, monkeypatch, pools,
+                                     streams, seed, chunk_size):
+        keys = []
+        monkeypatch.setattr(simulator, "stream_generator", lambda *key: keys.append(key))
+        log = tmp_path / "events.csv"
+        with pytest.raises(ConfigurationError):
+            simulator._run_streams(streams, seed, chunk_size, workers=2, event_log=log)
+        assert keys == [] and pools == [] and not log.exists()
+
+
 class TestLogReader:
     """One parser: the writer's form reads, and any other line is refused
     by its number."""
@@ -733,6 +808,13 @@ class TestLogReader:
             result.tallies, result.truth_pairs, result.pulses)
         assert len(blocks) > 2 and all(rows is not None for rows in blocks)
         assert sum(map(len, blocks)) == sum(result.pulses)
+
+    def test_truth_sum_past_int64_is_exact(self):
+        # each row below 2^63 - 1, their sum past it
+        text = f"{EVENT_LOG_HEADER}\n0,0,5,{2**62}\n1,0,0,{2**62}\n"
+        back = read_event_log(io.StringIO(text))
+        assert back.truth_pairs == [2**63]
+        assert back.pulses == [2]
 
     def test_single_byte_edits_read_or_name_their_line(self, tmp_path):
         path = tmp_path / "edited.csv"
