@@ -266,31 +266,28 @@ def _single_pair_closure(eta, p_route):
 
     The Alice photon on route r clicks its channel with probability
     eta_A(r); "clicks inside T" allows either no click or a click on a
-    channel belonging to T.
+    channel belonging to T.  Each route's term is p_route[r] times its
+    Alice factor times its Bob factor, and the four terms are added in
+    route order, from 0.0.
     """
-    # route index r: alice channel r >> 1 (0 = A1), bob channel r & 1 (0 = B1)
-    eta_a = np.array([eta[0], eta[1]])
-    eta_b = np.array([eta[2], eta[3]])
-    q = np.empty(N_PATTERNS)
-    for T in range(N_PATTERNS):
-        a_in = np.array([(T >> 0) & 1, (T >> 1) & 1], dtype=float)
-        b_in = np.array([(T >> 2) & 1, (T >> 3) & 1], dtype=float)
-        a_fac = (1.0 - eta_a) + eta_a * a_in
-        b_fac = (1.0 - eta_b) + eta_b * b_in
-        q[T] = sum(
-            p_route[r] * a_fac[r >> 1] * b_fac[r & 1] for r in range(4)
-        )
+    inside = (np.arange(N_PATTERNS)[:, None] >> np.arange(4)) & 1  # T holds channel c
+    fac = (1.0 - eta) + eta * inside.astype(float)
+    # route index r: alice channel r >> 1 (0 = A1), bob channel 2 + (r & 1)
+    terms = p_route * fac[:, [0, 0, 1, 1]] * fac[:, [2, 3, 2, 3]]
+    q = np.zeros(N_PATTERNS)
+    for term in terms.T:
+        q += term
     return q
 
 
 def _mobius_invert(values):
-    # Subset-lattice Moebius inversion over the 4 channel bits, in place on a copy.
+    # Subset-lattice Moebius inversion over the 4 channel bits, on a copy:
+    # one pass a bit, in which no T holding the bit is read
     out = values.copy()
+    subsets = np.arange(N_PATTERNS)
     for b in range(4):
-        bit = 1 << b
-        for T in range(N_PATTERNS):
-            if T & bit:
-                out[T] -= out[T ^ bit]
+        has = subsets[subsets >> b & 1 == 1]
+        out[has] -= out[has ^ (1 << b)]
     return out
 
 

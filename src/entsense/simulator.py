@@ -30,7 +30,12 @@ Two sampling paths are exposed:
   Philox's output, not on numpy's conversion of words to doubles.  The
   pair numbers and routes are computed on the emitting pulses only, by
   counting the steps of the cumulative weights each word passes, which
-  equals searchsorted plus the clip to the last bin.
+  equals searchsorted plus the clip to the last bin.  A chunk's
+  pair-number words are drawn in consecutive blocks of _WORD_BLOCK
+  words, of which only the emitting pulses' are kept; consecutive
+  random_raw calls return the words one call would, so the split
+  changes no draw, and a chunk's working set is one block plus its
+  emitting pulses, whatever the chunk size.
   `tally_pulses` reduces a chunk to its 16 counts and truth total
   without per-pulse arrays; `sample_patterns` scatters the same draws
   into per-pulse arrays for the event log;
@@ -97,6 +102,9 @@ LANE_BLOCKS = 2  # blocked-run shortcut
 LANE_BITS = 3  # random-bit source (phase QRNG stand-in)
 
 _DEFAULT_CHUNK = 1 << 20
+# pair-number words drawn at once (1 MiB): a chunk's working set is one
+# such block plus its emitting pulses, whatever the chunk size
+_WORD_BLOCK = 1 << 17
 _CHUNK_LIMIT = 1 << 32  # chunk indices the stream key's low 32 bits hold
 # the most pulses a setting can draw at the default chunk size
 MAX_PULSES_PER_SETTING = (_CHUNK_LIMIT - 1) * _DEFAULT_CHUNK
@@ -201,11 +209,6 @@ class ExperimentResult:
     patterns: list | None = None
 
 
-def _alice_bob_index(routes):
-    # route order (A1B1, A1B2, A2B1, A2B2): alice = r >> 1, bob = r & 1
-    return routes >> 1, routes & 1
-
-
 def _steps(p):
     """The integer steps ceil(p * 2**53) of probabilities p, as uint64.
 
@@ -231,19 +234,29 @@ def _edges_passed(steps, k):
     return passed
 
 
-def _draw_emitting(source, eff, u, rng, n):
+def _draw_emitting(source, eff, u, rng, n, with_index=False):
     """One chunk of the pulse path, kept only where a pair was emitted.
 
-    Returns (idx int64[k], patterns uint8[k], m int16[k]): the indices of
-    the k pulses with m >= 1 pairs, in order, with their click patterns
-    and pair numbers; every other pulse has pattern 0 and m = 0.  The
-    draw sequence per chunk is fixed: pair numbers, then routes, then
-    Alice survivals, then Bob survivals; changing it would change every
-    seeded result, so it is part of the determinism contract.  Each draw
-    is one of Philox's raw 64-bit words, tested against the _steps of
-    the cumulative pair weights, the cumulative route weights and the
-    channel efficiencies by integer compares, which decide as the
-    compares of Generator.random()'s doubles with those weights would.
+    Returns (idx, patterns uint8[k], m int16[k]): the k pulses with m >= 1
+    pairs, in order, with their click patterns and pair numbers; every
+    other pulse has pattern 0 and m = 0.  idx holds their indices (int64)
+    when with_index is set, else it is None.  The draw sequence per chunk
+    is fixed: pair numbers, then routes, then Alice survivals, then Bob
+    survivals; changing it would change every seeded result, so it is
+    part of the determinism contract.  Each draw is one of Philox's raw
+    64-bit words, tested against the _steps of the cumulative pair
+    weights, the cumulative route weights and the channel efficiencies by
+    integer compares, which decide as the compares of Generator.random()'s
+    doubles with those weights would.
+
+    The n pair-number words are drawn in consecutive random_raw calls of
+    _WORD_BLOCK words, and only the emitting pulses' words are kept.
+    Consecutive calls return the words one call of their summed size
+    would, and leave the generator where it would, so the split changes
+    no draw.  The pair numbers are then computed once on the kept words,
+    and the route, Alice and Bob words are drawn one stage at a time, one
+    word per photon.  So the working set is one block of words plus a few
+    tens of bytes per emitting pulse, whatever the chunk size.
     """
     if n < 0:
         raise ConfigurationError(f"pulse count must be >= 0, got {n}")
@@ -252,22 +265,61 @@ def _draw_emitting(source, eff, u, rng, n):
     click_steps = _steps(eff.as_array())
     raw = rng.bit_generator.random_raw
 
-    words = raw(n)
+    def top_bits(size):  # the next size words' top 53 bits, the k of _steps
+        words = raw(size)
+        words >>= 11
+        return words
+
     # k >= step is w >= step << 11, a bound no word reaches for the step 2**53
     emit = int(pair_steps[0]) << 11
-    idx = (np.flatnonzero(words >= np.uint64(emit)) if emit < 2**64
-           else np.zeros(0, dtype=np.intp))
-    m = _edges_passed(pair_steps[1:source.n_max], words[idx] >> 11)
+    k, idx = _emitting_words(raw, n, emit if emit < 2**64 else None, with_index)
+    k >>= 11
+    m = _edges_passed(pair_steps[1:source.n_max], k)
     m += 1  # pair_steps[0], the step every emitting pulse passed
     total = int(m.sum())
-    routes = _edges_passed(route_steps[:3], raw(total) >> 11)
-    a_idx, b_idx = _alice_bob_index(routes)
-    a_click = raw(total) >> 11 < click_steps[a_idx]
-    b_click = raw(total) >> 11 < click_steps[2 + b_idx]
-    masks = (a_click << a_idx | (b_click << (2 + b_idx))).astype(np.uint8)
+    # route order (A1B1, A1B2, A2B1, A2B2): a route word passes r of the
+    # first three steps; Alice's channel is r >> 1, the second test, and
+    # Bob's r & 1, the parity of the three.  Each stage's words are
+    # dropped before the next stage's are drawn.
+    k = top_bits(total)
+    alice = k >= route_steps[1]
+    bob = (k >= route_steps[0]) ^ alice ^ (k >= route_steps[2])
+    del k
+
+    def clicks(second, steps):
+        # the next stage's words against each photon's channel step, the
+        # side's second channel where second is set
+        return top_bits(total) < np.where(second, steps[1], steps[0])
+
+    a_click = clicks(alice, click_steps[:2])
+    b_click = clicks(bob, click_steps[2:])
+    alice, bob, a_click, b_click = (x.view(np.uint8)
+                                    for x in (alice, bob, a_click, b_click))
+    masks = a_click << alice | b_click << (bob + 2)
 
     starts = np.cumsum(m, dtype=np.int64) - m  # each pulse's first photon
     return idx, np.bitwise_or.reduceat(masks, starts), m
+
+
+def _emitting_words(raw, n, emit, with_index):
+    """The emitting pulses' pair-number words among the next n words of
+    raw, drawn _WORD_BLOCK at a time: (words uint64[k], indices int64[k]
+    or None).  A pulse emits when its word is at least emit; none does
+    when emit is None, but all n words are drawn all the same."""
+    kept, index = [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, n, _WORD_BLOCK):
+        words = raw(min(_WORD_BLOCK, n - lo))
+        if emit is not None:
+            at = np.flatnonzero(words >= np.uint64(emit))
+            kept.append(words[at])
+            if with_index:
+                at += lo
+                index.append(at)
+        # free the block before the next is drawn, so that the next reuses
+        # its memory: with two blocks held, the kept words land in the
+        # freed one and each new block takes fresh pages from the system
+        del words
+    return np.concatenate(kept), np.concatenate(index) if with_index else None
 
 
 def sample_patterns(source, eff, u, rng, n):
@@ -279,8 +331,12 @@ def sample_patterns(source, eff, u, rng, n):
     counting the integer steps of the cumulative weights each word's top
     53 bits pass, which equals searchsorted(side="right") on the doubles
     Generator.random() would give, followed by the clip to the last bin.
+    Beyond the two arrays it returns, its working set is _draw_emitting's:
+    one block of pair-number words plus the emitting pulses and their
+    indices.
     """
-    idx, emitting, m_emitting = _draw_emitting(source, eff, u, rng, n)
+    idx, emitting, m_emitting = _draw_emitting(source, eff, u, rng, n,
+                                               with_index=True)
     patterns = np.zeros(n, dtype=np.uint8)
     patterns[idx] = emitting
     m = np.zeros(n, dtype=np.int16)
@@ -295,11 +351,12 @@ def tally_pulses(source, eff, u, rng, n):
     sample_patterns' patterns and the sum of its pair numbers for the same
     generator state: the same raw words, compared with the same integer
     steps (see _draw_emitting).  Leaves the generator where
-    sample_patterns does.
+    sample_patterns does.  Its working set is one block of pair-number
+    words plus the emitting pulses; it builds no index array.
     """
-    idx, patterns, m = _draw_emitting(source, eff, u, rng, n)
+    _, patterns, m = _draw_emitting(source, eff, u, rng, n)
     counts = np.bincount(patterns, minlength=N_PATTERNS)
-    counts[0] += n - len(idx)
+    counts[0] += n - len(m)
     return counts, int(m.sum(dtype=np.int64))
 
 

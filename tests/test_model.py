@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from entsense import model
 from entsense.errors import ConfigurationError, DomainError
 from entsense.model import (
     ALPHA,
@@ -65,6 +66,69 @@ def brute_pattern_distribution(mu, visibility, eta, u, n_max):
                 p *= cp
             probs[mask] += p
     return probs
+
+
+def loop_single_pair_closure(eta, p_route):
+    # the closure as first written, one subset and one route at a time,
+    # the terms added by Python's sum: the reference the table must equal
+    eta_a = np.array([eta[0], eta[1]])
+    eta_b = np.array([eta[2], eta[3]])
+    q = np.empty(N_PATTERNS)
+    for T in range(N_PATTERNS):
+        a_in = np.array([(T >> 0) & 1, (T >> 1) & 1], dtype=float)
+        b_in = np.array([(T >> 2) & 1, (T >> 3) & 1], dtype=float)
+        a_fac = (1.0 - eta_a) + eta_a * a_in
+        b_fac = (1.0 - eta_b) + eta_b * b_in
+        q[T] = sum(p_route[r] * a_fac[r >> 1] * b_fac[r & 1] for r in range(4))
+    return q
+
+
+def loop_mobius_invert(values):
+    # the inversion as first written, one subset at a time
+    out = values.copy()
+    for b in range(4):
+        bit = 1 << b
+        for T in range(N_PATTERNS):
+            if T & bit:
+                out[T] -= out[T ^ bit]
+    return out
+
+
+def loop_pattern_distribution(source, eff, u):
+    # pattern_distribution's probabilities (clipped at 0, as
+    # ClickDistribution stores them) and derivative, on the loops above
+    p_route = coincidence_probs(u, source.visibility)
+    eta = eff.as_array()
+    q = loop_single_pair_closure(eta, p_route)
+    w = source.pair_weights()
+    probs = loop_mobius_invert(w @ (q[None, :] ** np.arange(len(w))[:, None]))
+    dq = loop_single_pair_closure(eta, model._coincidence_derivs(u, source.visibility))
+    m = np.arange(len(w))
+    power_sum = (w * m) @ np.where(
+        m[:, None] >= 1, q[None, :] ** np.clip(m[:, None] - 1, 0, None), 0.0)
+    return np.clip(probs, 0.0, None), loop_mobius_invert(power_sum * dq)
+
+
+def random_model_cases(count, seed):
+    """(source, eff, u) drawn over mu, V, n_max, eta and u, with some
+    efficiencies of 1 and some phases of 0 and -0."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        mu = float(rng.choice([0.0, rng.uniform(0.0, 0.3), rng.uniform(0.0, 2.0)]))
+        n_max = int(rng.integers(1, 25))
+        eta = rng.uniform(0.01, 1.0, 4)
+        if len(cases) % 5 == 0:
+            eta[rng.integers(4)] = 1.0
+        u = float(rng.uniform(-7.0, 7.0))
+        if len(cases) % 9 == 0:
+            u = float(rng.choice([0.0, -0.0]))
+        try:
+            source = SourceParams(mu=mu, visibility=float(rng.uniform()), n_max=n_max)
+        except ConfigurationError:  # Poisson mass past n_max too large
+            continue
+        cases.append((source, EfficiencyBudget(eta=dict(zip(CHANNELS, eta.tolist()))), u))
+    return cases
 
 
 def symbolic_fisher():
@@ -193,6 +257,25 @@ class TestPatternDistribution:
         plus = pattern_distribution(src, eff, u + h).probs
         minus = pattern_distribution(src, eff, u - h).probs
         np.testing.assert_allclose(d_probs, (plus - minus) / (2 * h), atol=5e-9)
+
+    def test_tables_equal_the_loops_bit_for_bit(self):
+        # the closure and the inversion are vectorized without reordering
+        # a single floating-point operation
+        rng = np.random.default_rng(6)
+        for source, eff, u in random_model_cases(500, seed=5):
+            eta = eff.as_array()
+            for law in (coincidence_probs(u, source.visibility),
+                        model._coincidence_derivs(u, source.visibility)):
+                got = model._single_pair_closure(eta, law)
+                want = loop_single_pair_closure(eta, law)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            values = rng.normal(size=N_PATTERNS)
+            assert np.array_equal(model._mobius_invert(values), loop_mobius_invert(values))
+            dist, d_probs = pattern_distribution(source, eff, u, with_derivative=True)
+            want_probs, want_d_probs = loop_pattern_distribution(source, eff, u)
+            assert np.array_equal(dist.probs, want_probs)
+            assert np.array_equal(d_probs, want_d_probs)
 
     def test_no_click_floor_at_small_mu(self):
         src = SourceParams(mu=0.0025, visibility=0.9, n_max=3)

@@ -157,19 +157,32 @@ def reference_sample_patterns(source, eff, u, rng, n):
 
 
 class CraftedWords:
-    """Stands in for a Generator: its k-th draw returns the k-th array of
-    words, cycled to size, as raw words from bit_generator.random_raw or
-    as the doubles (w >> 11) * 2**-53 that random() makes of them."""
+    """Stands in for a Generator: serves its words as one stream, in order
+    across calls, as raw words from bit_generator.random_raw or as the
+    doubles (w >> 11) * 2**-53 that random() makes of them.  A draw past
+    the last word fails; drawn counts the words served."""
 
-    def __init__(self, *words):
-        self.words = iter(words)
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.drawn = 0
         self.bit_generator = self
 
     def random_raw(self, size):
-        return np.resize(np.asarray(next(self.words), dtype=np.uint64), size)
+        assert self.drawn + size <= len(self.words), "crafted words ran out"
+        self.drawn += size
+        return self.words[self.drawn - size:self.drawn].copy()
 
     def random(self, size):
         return (self.random_raw(size) >> 11) * 2.0**-53
+
+
+def crafted_pulses(source, pair_words, stages):
+    """The word stream of len(pair_words) pulses: the pair words, then each
+    of the route, Alice and Bob stages cycled to one word per photon."""
+    cum_pairs = np.cumsum(source.pair_weights())
+    m = np.searchsorted(cum_pairs, (pair_words >> 11) * 2.0**-53, side="right")
+    total = int(np.minimum(m, source.n_max).sum())
+    return np.concatenate([pair_words, *(np.resize(words, total) for words in stages)])
 
 
 def step_words(p):
@@ -225,11 +238,13 @@ class TestEmittingKernel:
         n = len(pair_words)
         for shift in range(len(click_words)):
             clicks = np.roll(click_words, shift)
-            draws = (pair_words, route_words, clicks, clicks[::-1])
-            got = sample_patterns(src, EFF_240M, u, CraftedWords(*draws), n)
-            want = reference_sample_patterns(src, EFF_240M, u, CraftedWords(*draws), n)
+            words = crafted_pulses(src, pair_words, (route_words, clicks, clicks[::-1]))
+            got_rng, want_rng = CraftedWords(words), CraftedWords(words)
+            got = sample_patterns(src, EFF_240M, u, got_rng, n)
+            want = reference_sample_patterns(src, EFF_240M, u, want_rng, n)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+            assert got_rng.drawn == want_rng.drawn == len(words)
 
     @pytest.mark.parametrize("source, eff", [
         pytest.param(SRC_240M, EfficiencyBudget.uniform(1.0), id="eta-1"),
@@ -259,6 +274,67 @@ class TestEmittingKernel:
         want_state = want_rng.bit_generator.state  # counter, buffer and position
         np.testing.assert_equal(got_rng.bit_generator.state, want_state)
         np.testing.assert_equal(tally_rng.bit_generator.state, want_state)
+
+    @pytest.mark.parametrize("source", [
+        pytest.param(SRC_240M, id="paper-240m"),
+        pytest.param(SourceParams(mu=0.0, visibility=0.9804, n_max=4), id="mu-0"),
+        pytest.param(SourceParams(mu=2.0, visibility=0.9804, n_max=24),
+                     id="last-pair-weights-round-to-1"),
+    ])
+    @pytest.mark.parametrize("blocks, extra", [
+        pytest.param(1, -1, id="block-1"),
+        pytest.param(1, 0, id="block"),
+        pytest.param(1, 1, id="block+1"),
+        pytest.param(3, 7, id="3block+7"),
+    ])
+    def test_matches_reference_across_word_blocks(self, source, blocks, extra):
+        # the kernel draws the pair-number words _WORD_BLOCK at a time:
+        # split draws are the words one draw gives, and leave the generator
+        # where it would
+        n = blocks * simulator._WORD_BLOCK + extra
+        got_rng, tally_rng, want_rng = (stream_generator(37, LANE_PULSES, 6, n)
+                                        for _ in range(3))
+        patterns, m = sample_patterns(source, EFF_240M, 0.9, got_rng, n)
+        counts, truth = tally_pulses(source, EFF_240M, 0.9, tally_rng, n)
+        want_patterns, want_m = reference_sample_patterns(source, EFF_240M, 0.9,
+                                                          want_rng, n)
+        np.testing.assert_array_equal(patterns, want_patterns)
+        np.testing.assert_array_equal(m, want_m)
+        np.testing.assert_array_equal(counts,
+                                      np.bincount(want_patterns, minlength=N_PATTERNS))
+        assert truth == int(want_m.sum(dtype=np.int64))
+        want_state = want_rng.bit_generator.state
+        np.testing.assert_equal(got_rng.bit_generator.state, want_state)
+        np.testing.assert_equal(tally_rng.bit_generator.state, want_state)
+        # the most pairs on the first pulse and on each side of every block
+        # edge, so that the emitting pulses sit where the draws are split
+        words = stream_generator(41, LANE_PULSES).bit_generator.random_raw(n)
+        edges = np.arange(0, n, simulator._WORD_BLOCK)
+        words[np.concatenate(([0, n - 1], edges[1:] - 1, edges[1:]))] = 2**64 - 1
+        stages = stream_generator(43, LANE_PULSES).bit_generator.random_raw((3, 4096))
+        words = crafted_pulses(source, words, stages)
+        got_rng, want_rng = CraftedWords(words), CraftedWords(words)
+        got = sample_patterns(source, EFF_240M, 0.9, got_rng, n)
+        want = reference_sample_patterns(source, EFF_240M, 0.9, want_rng, n)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got_rng.drawn == want_rng.drawn == len(words)
+
+    @pytest.mark.parametrize("chunk, bound_mib", [(1 << 20, 4), (1 << 22, 12)])
+    @pytest.mark.parametrize("draw", [tally_pulses, sample_patterns])
+    def test_chunk_working_set_is_bounded(self, draw, chunk, bound_mib):
+        # a chunk's working set is one block of pair-number words plus its
+        # emitting pulses (about 5.5% at paper-240m), whatever the chunk
+        # size; the arrays a call returns are its output, not its working
+        # set.  numpy reports its buffers to tracemalloc.
+        rng = stream_generator(47, LANE_PULSES)
+        tracemalloc.start()
+        try:
+            out = draw(SRC_240M, EFF_240M, 1.1, rng, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(np.asarray(part).nbytes for part in out) <= bound_mib * 2**20
 
     def test_random_is_the_raw_words_top_53_bits(self):
         # Generator.random() on a stream is (w >> 11) * 2^-53 of its raw
