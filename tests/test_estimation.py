@@ -628,10 +628,8 @@ class TestBatchedPolish:
                                   rng=rng).block_counts
 
     @pytest.mark.parametrize("cal_name", ["fit", "shifted"])
-    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("u", [0.6, 1.3, 2.0, 2.7])
-    def test_matches_brent_reference_and_is_stationary(self, calibrations, cal_name,
-                                                       include_rest, u):
+    def test_matches_brent_reference_and_is_stationary(self, calibrations, cal_name, u):
         cal = calibrations[cal_name]
         block_counts = self.blocks(u)
         got = 3.0 * estimate_blocks(block_counts, cal)
@@ -643,8 +641,7 @@ class TestBatchedPolish:
         assert np.all(h < 0)
         assert np.max(np.abs(g / h)) <= 1e-12
 
-    @pytest.mark.parametrize("include_rest", [False])
-    def test_slopes_match_finite_differences(self, calibrations, include_rest):
+    def test_slopes_match_finite_differences(self, calibrations):
         cal = calibrations["shifted"]
         cats = block_category_counts(self.blocks(1.3))
         u = np.linspace(0.3, 2.9, len(cats))
@@ -730,10 +727,8 @@ class TestGridFree:
     """The grid-free solve against the grid-plus-Newton reference, and the
     piece, mirror-tie and degenerate rules it states for phi0 != 0."""
 
-    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("preset", PRESETS)
-    def test_matches_grid_reference_on_precision_scans(self, precision_scans, preset,
-                                                       include_rest):
+    def test_matches_grid_reference_on_precision_scans(self, precision_scans, preset):
         cal, runs = precision_scans[preset]
         for block_counts in runs:
             got, *got_counts = estimate_with_counts(block_counts, cal)
@@ -741,10 +736,8 @@ class TestGridFree:
             assert np.max(np.abs(got - want)) <= 1e-12
             assert got_counts == want_counts
 
-    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("u", [0.0, math.pi])
-    def test_matches_grid_reference_at_fringe_extrema(self, precision_scans, u,
-                                                      include_rest):
+    def test_matches_grid_reference_at_fringe_extrema(self, precision_scans, u):
         # about half the blocks of an extremum setting land on the edge
         cal = precision_scans["paper-240m"][0]
         rng = stream_generator(24001, LANE_BLOCKS, setting_index=99)
@@ -757,10 +750,9 @@ class TestGridFree:
         assert got_counts == want_counts
         assert 100 < got_counts[0] < 300
 
-    @pytest.mark.parametrize("include_rest", [False])
     @pytest.mark.parametrize("u", [0.0, math.pi])
     def test_edge_rows_stop_early_with_identical_results(self, precision_scans,
-                                                         monkeypatch, u, include_rest):
+                                                         monkeypatch, u):
         # a row whose bracket lies within 1e-6 of 0 or pi stops iterating;
         # the boundary rule gives it the edge either way
         cal = precision_scans["paper-240m"][0]
@@ -884,8 +876,7 @@ class TestGridFree:
         assert len(runs[6]) == 1595
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("include_rest", [False])
-    def test_zero_visibility_is_flat_everywhere(self, precision_scans, include_rest):
+    def test_zero_visibility_is_flat_everywhere(self, precision_scans):
         # the moment start divides by the fitted visibility
         block_counts = precision_scans["paper-240m"][1][6]
         with warnings.catch_warnings(record=True) as caught:
