@@ -31,6 +31,7 @@ bit for bit or differs for a real reason.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,10 +387,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built by the process's first main call;
+    parse_args leaves it as it was, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -302,25 +302,36 @@ def _category_log_probs(u_grid, calibration):
     return np.log(np.clip(probs, 1e-300, None))
 
 
-def _loglike_slopes(cats, calibration, u):
-    """L'(u) and L''(u) of cats @ _category_log_probs, one u per row.
-
-    Each log p = log r_c - log R is a sum of log(alpha + beta cos(u + phi0))
-    terms of the fit r_c = a_c (1 + s_c V cos(u + phi0)), R their sum;
-    clipped terms are constant there."""
+def _slope_terms(calibration):
+    """The per-calibration constants of _loglike_slopes, as columns over
+    its five terms (the four channel rates, then their sum): phi0, then
+    alpha - |beta|, 2 |beta|, beta > 0 and -beta of each term."""
     alpha = np.array(calibration.offsets)
     beta = alpha * np.array(FRINGE_SIGNS) * calibration.visibility_hat
     alpha, beta = np.append(alpha, alpha.sum()), np.append(beta, beta.sum())
-    phase = u[:, None] + calibration.phase_offset
+    return (calibration.phase_offset, (alpha - abs(beta))[:, None],
+            (2 * abs(beta))[:, None], (beta > 0)[:, None], (-beta)[:, None])
+
+
+def _loglike_slopes(cats, terms, u):
+    """L'(u) and L''(u) of cats.T @ _category_log_probs, one u per column
+    of the (4, n) coincidence counts cats; terms is _slope_terms.
+
+    Each log p = log r_c - log R is a sum of log(alpha + beta cos(u + phi0))
+    terms of the fit r_c = a_c (1 + s_c V cos(u + phi0)), R their sum;
+    clipped terms are constant there.  The five terms are added in order,
+    as numpy adds the columns of an (n, 5) array, so the slopes do not
+    depend on the layout."""
+    phi0, floor, swing, cos_half, neg_beta = terms
+    phase = u + phi0
     # two terms of one sign, so no cancellation where a probability vanishes
-    f = alpha - abs(beta) + 2 * abs(beta) * np.where(
-        beta > 0, np.cos(phase / 2), np.sin(phase / 2)) ** 2
-    weights = np.where(f[:, :4] / f[:, 4:] > 1e-300, cats, 0)
-    weights = np.column_stack([weights, -weights.sum(axis=1)])
+    f = floor + swing * np.where(cos_half, np.cos(phase / 2), np.sin(phase / 2)) ** 2
+    weights = np.where(f[:4] / f[4] > 1e-300, cats, 0)
+    weights = np.vstack([weights, -weights.sum(axis=0)])
     f = np.where(weights != 0, f, 1.0)  # keeps 0 * inf out of dropped terms
-    g = -beta * np.sin(phase) / f
-    h = -beta * np.cos(phase) / f - g * g
-    return (weights * g).sum(axis=1), (weights * h).sum(axis=1)
+    g = neg_beta * np.sin(phase) / f
+    h = neg_beta * np.cos(phase) / f - g * g
+    return (weights * g).sum(axis=0), (weights * h).sum(axis=0)
 
 
 def estimate_blocks(block_counts, calibration):
@@ -374,9 +385,10 @@ def estimate_blocks(block_counts, calibration):
     # rule below sets any u there to the edge.
     lo, hi = np.full(len(cats), left), np.full(len(cats), right)
     active = np.arange(len(cats))
+    cats_t, terms = block_counts.T[_COINC_SLOTS], _slope_terms(calibration)
     for _ in range(_MAX_STEPS):
         x = u_hat[active]
-        g, h = _loglike_slopes(cats[active], calibration, x)
+        g, h = _loglike_slopes(cats_t[:, active], terms, x)
         lo[active] = b_lo = np.where(g > 0, x, lo[active])
         hi[active] = b_hi = np.where(g > 0, hi[active], x)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
@@ -421,7 +433,9 @@ def block_stats(estimates):
     delta_err = delta_hat / sqrt(2(s-1)), the leading-order error of a
     sample standard deviation from s draws.
     """
-    values = np.asarray(list(estimates), dtype=float)
+    if not isinstance(estimates, np.ndarray):
+        estimates = list(estimates)
+    values = np.asarray(estimates, dtype=float)
     s = len(values)
     if s < 2:
         raise DomainError(f"block statistics need at least 2 estimates, got {s}")

@@ -23,6 +23,7 @@ any precision summary.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,18 +153,36 @@ def measure_phase_point(source, eff, calibration, u, k_bar, s, *, seed,
     sample_blocked_run, on the blocked-run lane of setting_index.  The
     audit covers the whole run; the precision report divides its n by s,
     because the spread it quotes is the precision of one block's worth
-    of resources, not of the pooled run.
+    of resources, not of the pooled run.  It is the reduce of the draw,
+    the two halves that _measure_setpoints runs on different threads.
     """
+    _require_calibration(calibration)
+    drawn = _draw_setpoint(source, eff, u, k_bar, s, seed, setting_index)
+    return _reduce_setpoint(source, eff, calibration, u, k_bar, s, drawn)
+
+
+def _require_calibration(calibration):
     if calibration is None:
         raise ConfigurationError(
             "a fringe calibration must be fitted before phase estimation"
         )
+
+
+def _draw_setpoint(source, eff, u, k_bar, s, seed, setting_index):
+    """The draw half of measure_phase_point: the s x 9 block counts of the
+    setpoint's run and the audit of the whole run."""
     rng = stream_generator(seed, LANE_BLOCKS, setting_index=setting_index)
     run = sample_blocked_run(source, eff, u, k_bar, s, rng,
                              setting_index=setting_index)
-    audit = ResourceAudit.from_tallies(run.tally, source, eff)
+    return run.block_counts, ResourceAudit.from_tallies(run.tally, source, eff)
+
+
+def _reduce_setpoint(source, eff, calibration, u, k_bar, s, drawn):
+    """The reduce half of measure_phase_point: the block MLE, the spread
+    and the report of a _draw_setpoint result."""
+    block_counts, audit = drawn
     theta_hat, stats, report = _block_report(
-        run.block_counts, calibration, audit.n / s,
+        block_counts, calibration, audit.n / s,
         params={
             "mu": source.mu,
             "visibility": source.visibility,
@@ -215,11 +234,14 @@ def precision_scan(source, eff, calibration, points, k_bar, s, *, seed):
 
     The branch ends are fringe extrema where the estimate degenerates, so
     the setpoints split (0, pi/3) evenly without touching either end;
-    setpoint j draws from setting index j.  The setpoints run on
-    min(usable cores, points) threads (_measure_setpoints), with the same
-    result at any core count and at most 2 * threads setpoints' s x 9
-    int64 block arrays in flight.  Returns (thetas, measurements, peak), peak being the index of the
-    largest dB below the shot-noise limit.
+    setpoint j draws from setting index j.  The setpoints' draws run on
+    min(usable cores - 1, points) background threads and the calling
+    thread estimates each setpoint as its draw arrives, because the block
+    MLE thrashes the GIL when two threads run it (_measure_setpoints);
+    the result is the same at any core count, with at most 2 * threads
+    setpoints' s x 9 int64 block arrays in flight.  Returns (thetas,
+    measurements, peak), peak being the index of the largest dB below the
+    shot-noise limit.
     """
     branch = math.pi / 3.0
     thetas = [branch * (j + 1) / (points + 1) for j in range(points)]
@@ -234,21 +256,29 @@ def precision_scan(source, eff, calibration, points, k_bar, s, *, seed):
 def _measure_setpoints(source, eff, calibration, us, k_bar, s, *, seed):
     """measure_phase_point at each u of us, setpoint j on setting index j.
 
-    Each setpoint draws from its own stream, so the setpoints run through
-    simulator._ordered_map on min(usable cores, setpoints) threads and
-    the list comes back in setpoint order, equal at any thread count.  At
-    most 2 * threads setpoints are in flight, each with its s x 9 int64
-    block array (115 kB at paper-240m's s = 1595) until it is reduced.
-    The first setpoint to raise, in setpoint order, raises here, and the
-    setpoints not yet started are not run.
+    Each setpoint draws from its own stream, so the draws (the sampler
+    and the audit, mostly numpy's multinomial, which releases the GIL)
+    run through simulator._ordered_map on min(usable cores - 1,
+    setpoints) background threads, none on one core.  The calling thread
+    reduces each setpoint (the block MLE, its spread and the report) in
+    setpoint order as its draw arrives: the MLE's numpy calls are short,
+    so two threads solving at once pass the GIL back and forth and take
+    longer than one.  The list is equal at any thread count.  At most
+    2 * threads draws are in flight, each with its s x 9 int64 block
+    array (115 kB at paper-240m's s = 1595) until it is reduced.  The
+    first setpoint to raise, in setpoint order, draw or reduce, raises
+    here, and the draws not yet started are not run.
     """
-    def measure(item):
-        j, u = item
-        return measure_phase_point(source, eff, calibration, u, k_bar, s,
-                                   seed=seed, setting_index=j)
+    _require_calibration(calibration)
 
-    return list(_ordered_map(measure, enumerate(us),
-                             min(_usable_cores(), len(us))))
+    def draw(item):
+        j, u = item
+        return _draw_setpoint(source, eff, u, k_bar, s, seed, j)
+
+    threads = min(_usable_cores() - 1, len(us))
+    with closing(_ordered_map(draw, enumerate(us), threads)) as drawn:
+        return [_reduce_setpoint(source, eff, calibration, u, k_bar, s, run)
+                for u, run in zip(us, drawn)]
 
 
 def threshold_scan(source, etas, pulses, *, seed):
@@ -346,18 +376,16 @@ def run_random_phase_experiment(source, eff, calibration, num_phases, k_bar,
     For each trial both sensor angles are drawn from the bit source, the
     combined truth is folded onto the identifiable branch, and the
     blocks are simulated and estimated against the supplied calibration;
-    trial i draws from setting index i.  The trials run on
-    min(usable cores, num_phases) threads (_measure_setpoints), with the
-    same result at any core count and at most 2 * threads trials' s x 9
-    int64 block arrays in flight.
+    trial i draws from setting index i.  The trials' draws run on
+    min(usable cores - 1, num_phases) background threads and the calling
+    thread estimates each trial as its draw arrives, because the block
+    MLE thrashes the GIL when two threads run it (_measure_setpoints);
+    the result is the same at any core count, with at most 2 * threads
+    trials' s x 9 int64 block arrays in flight.
     num_phases=0 is a valid vacuous request.
     """
     if num_phases < 0:
         raise ConfigurationError(f"num_phases must be >= 0, got {num_phases}")
-    if calibration is None:
-        raise ConfigurationError(
-            "a fringe calibration must be fitted before phase estimation"
-        )
     settings = draw_phase_settings(seed, num_phases)
     truths = [fold_to_branch(global_phase(setting)) for setting in settings]
     measurements = _measure_setpoints(source, eff, calibration,

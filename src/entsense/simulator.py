@@ -13,8 +13,11 @@ reduces the results in (setting, chunk) order; the output is therefore
 bit-identical for any worker count, including zero (sequential).  A
 threaded run feeds every (setting, chunk) item of the run to one pool,
 with at most 2 * workers chunks in flight across setting boundaries; the
-same ordered map runs the blocked setpoints of randomphase, each on its
-own stream, and parses the event-log reader's text blocks.
+same ordered map parses the event-log reader's text blocks and draws the
+blocked setpoints of randomphase, each on its own stream, on one thread
+fewer than the usable cores, because the calling thread runs each
+setpoint's block MLE itself: the MLE's numpy calls are short, and two
+threads running it at once pass the GIL back and forth.
 
 Two sampling paths are exposed:
 
@@ -407,10 +410,11 @@ def _run_streams(streams, seed, chunk_size, *, workers=None, event_log=None):
     counts = np.zeros((len(streams), N_PATTERNS), dtype=np.int64)
     truth = [0] * len(streams)
     to_file = event_log is not None and not hasattr(event_log, "write")
+    threads = workers if workers and workers > 1 else 0  # one worker: this thread
     with (
         open(Path(event_log), "w", newline="") if to_file
         else nullcontext(event_log) as log_fh,
-        closing(_ordered_map(draw, work, workers)) as drawn,
+        closing(_ordered_map(draw, work, threads)) as drawn,
     ):
         if log_fh is not None:
             log_fh.write(EVENT_LOG_HEADER + "\n")
@@ -426,17 +430,24 @@ def _run_streams(streams, seed, chunk_size, *, workers=None, event_log=None):
 def _ordered_map(fn, items, workers):
     """Yield fn(item) for each of items, in item order.
 
-    Serial, with no pool, when workers is unset or at most 1.  Otherwise
-    one ThreadPoolExecutor of `workers` threads runs the items, with at
-    most 2 * workers of them submitted and not yet consumed, so a slow
+    Serial, with no pool, when workers is unset or 0.  Otherwise one
+    ThreadPoolExecutor of `workers` threads runs the items, with at most
+    2 * workers of them submitted and not yet consumed, so a slow
     consumer (the event-log writer) holds at most that many results in
     memory.  items is drawn lazily on the calling thread, at most one
     past those submitted, so it may read a file or a pipe.  The first
     item to raise, in item order, raises here, and the items not yet
     started are cancelled; the pool is shut down when the generator
     finishes or is closed.
+
+    The pulse path and the log reader, whose calling thread only merges
+    results, run a lone worker serially.  The blocked setpoints of
+    randomphase pass usable cores - 1, a pool of one on two cores: their
+    calling thread runs each setpoint's block MLE while the pool draws
+    the next, because the MLE's short numpy calls pass the GIL back and
+    forth when two threads run it.
     """
-    if not workers or workers <= 1:
+    if not workers:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -581,7 +592,8 @@ def _read_log_blocks(fh, threads):
     counts, truth, informative = {}, {}, {}
     pulses = {}  # per setting: the pulses read, so the pulse_index expected next
     line = 1  # lines read
-    with closing(_ordered_map(_summarize_log_block, texts(), threads)) as summaries:
+    with closing(_ordered_map(_summarize_log_block, texts(),
+                              threads if threads > 1 else 0)) as summaries:
         for lines, bad, settings in summaries:
             if bad is not None:
                 number, row = bad

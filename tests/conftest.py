@@ -3,12 +3,16 @@
 The acceptance tests record one summary line per criterion on the pytest
 config object; the hook below prints them as a dedicated section after
 the run, where output capture no longer swallows them.  The pools
-fixture counts the thread pools that simulator's ordered map builds.
+fixture counts the thread pools that simulator's ordered map builds, and
+the estimate_threads fixture records which thread runs each block MLE of
+randomphase.
 """
+
+import threading
 
 import pytest
 
-from entsense import simulator
+from entsense import randomphase, simulator
 
 
 def pytest_configure(config):
@@ -35,3 +39,18 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", CountingPool)
     return built
+
+
+@pytest.fixture
+def estimate_threads(monkeypatch):
+    """threading.get_ident() of every estimate_blocks call made through
+    randomphase's name, in call order."""
+    idents = []
+    real = randomphase.estimate_blocks
+
+    def spy(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(randomphase, "estimate_blocks", spy)
+    return idents

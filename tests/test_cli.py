@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entsense import __version__, simulator
+from entsense import __version__, cli, simulator
 from entsense.cli import analytic_calibration, main
 from entsense.config import PRESET_NAMES, load_preset, parse_config
 from entsense.errors import ConfigurationError
@@ -127,6 +127,31 @@ class TestArgumentHandling:
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        # importing builds none; main builds one on its first call and
+        # reuses it, while build_parser still returns a fresh one
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = "import entsense.cli as c; print(c._parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
+        built, real = [], cli.build_parser
+
+        def counting():
+            built.append(real())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert main(["--version"]) == main(["--version"]) == 0
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert capsys.readouterr().out == f"entsense {__version__}\n" * 2
+        assert real() is not real()
 
     @pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
     def test_import_asks_for_one_blas_thread(self, preset, want):

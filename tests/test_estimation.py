@@ -532,7 +532,7 @@ def grid_estimate_blocks(block_counts, cal):
     active = np.flatnonzero(~flat)
     for _ in range(estimation._MAX_STEPS):
         x = u_hat[active]
-        g, h = estimation._loglike_slopes(cats[active], cal, x)
+        g, h = slopes(cats[active], cal, x)
         lo[active] = b_lo = np.where(g > 0, x, lo[active])
         hi[active] = b_hi = np.where(g > 0, hi[active], x)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
@@ -568,7 +568,7 @@ def converged_estimate_blocks(block_counts, cal):
     active = np.arange(len(cats))
     for _ in range(estimation._MAX_STEPS):
         x = u_hat[active]
-        g, h = estimation._loglike_slopes(cats[active], cal, x)
+        g, h = slopes(cats[active], cal, x)
         lo[active] = b_lo = np.where(g > 0, x, lo[active])
         hi[active] = b_hi = np.where(g > 0, hi[active], x)
         newton = x - np.divide(g, h, out=np.zeros_like(g), where=h < 0)
@@ -586,6 +586,29 @@ def converged_estimate_blocks(block_counts, cal):
     boundary = ~flat & (np.abs(u_hat - edge) < 1e-6)
     u_hat[boundary] = edge[boundary]
     return u_hat, int(boundary.sum()), int(flat.sum())
+
+
+def slopes(cats, cal, u):
+    """estimation._loglike_slopes at u of (n, 4) rows of coincidence counts."""
+    return estimation._loglike_slopes(cats.T, estimation._slope_terms(cal), u)
+
+
+def rowwise_loglike_slopes(cats, cal, u):
+    """The (n, 5) form of the slope kernel, one row per block, that the
+    transposed (5, n) form replaced with the same operations, kept as its
+    reference: L'(u) and L''(u) of cats @ _category_log_probs."""
+    alpha = np.array(cal.offsets)
+    beta = alpha * np.array(FRINGE_SIGNS) * cal.visibility_hat
+    alpha, beta = np.append(alpha, alpha.sum()), np.append(beta, beta.sum())
+    phase = u[:, None] + cal.phase_offset
+    f = alpha - abs(beta) + 2 * abs(beta) * np.where(
+        beta > 0, np.cos(phase / 2), np.sin(phase / 2)) ** 2
+    weights = np.where(f[:, :4] / f[:, 4:] > 1e-300, cats, 0)
+    weights = np.column_stack([weights, -weights.sum(axis=1)])
+    f = np.where(weights != 0, f, 1.0)
+    g = -beta * np.sin(phase) / f
+    h = -beta * np.cos(phase) / f - g * g
+    return (weights * g).sum(axis=1), (weights * h).sum(axis=1)
 
 
 def block_category_counts(block_counts):
@@ -637,7 +660,7 @@ class TestBatchedPolish:
         assert (n_boundary, n_flat) == (0, 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
         cats = block_category_counts(block_counts)
-        g, h = estimation._loglike_slopes(cats, cal, got)
+        g, h = slopes(cats, cal, got)
         assert np.all(h < 0)
         assert np.max(np.abs(g / h)) <= 1e-12
 
@@ -645,7 +668,7 @@ class TestBatchedPolish:
         cal = calibrations["shifted"]
         cats = block_category_counts(self.blocks(1.3))
         u = np.linspace(0.3, 2.9, len(cats))
-        g, h = estimation._loglike_slopes(cats, cal, u)
+        g, h = slopes(cats, cal, u)
         for i in range(len(cats)):
             at = lambda x: loglike(cats[i], cal, x)[0]
             d = 1e-5
@@ -654,6 +677,32 @@ class TestBatchedPolish:
             d = 1e-4
             assert h[i] == pytest.approx(
                 (at(u[i] + d) - 2 * at(u[i]) + at(u[i] - d)) / d**2, rel=1e-5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slopes_equal_the_rowwise_reference(self, calibrations, seed):
+        # bit for bit, over calibrations whose rates vanish (V = 1 at the
+        # fringe extrema), blocks with empty channels, and u at the branch
+        # edges or within the 1e-6 edge rule of them
+        rng = np.random.default_rng(seed)
+        offsets = tuple(rng.uniform(0.1, 0.4, 4))
+        cals = [calibrations["fit"], calibrations["shifted"], FringeFit.ideal(),
+                FringeFit.ideal(visibility=0.0),
+                replace(FringeFit.ideal(), offsets=offsets),
+                replace(FringeFit.ideal(), offsets=offsets,
+                        visibility_hat=float(rng.uniform(0.5, 1.0)),
+                        phase_offset=float(rng.uniform(-math.pi, math.pi)))]
+        n = 500
+        cats = rng.integers(0, 4000, size=(n, 4))
+        cats[rng.random((n, 4)) < 0.2] = 0
+        cats[:8] = 0
+        u = rng.uniform(0.0, math.pi, n)
+        u[:40] = np.tile([0.0, math.pi, 5e-7, math.pi - 5e-7, 2e-6], 8)
+        for cal in cals:
+            got, want = slopes(cats, cal, u), rowwise_loglike_slopes(cats, cal, u)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        # the ideal fringe's rates do vanish there
+        assert (FringeFit.ideal().channel_fractions(u[:2]) == 0).sum() == 4
 
     def test_mixed_batch_keeps_degenerate_semantics(self):
         cal = FringeFit.ideal()
@@ -776,9 +825,9 @@ class TestGridFree:
         rows = []
         real_slopes = estimation._loglike_slopes
 
-        def counting_slopes(cats, *args):
-            rows.append(len(cats))
-            return real_slopes(cats, *args)
+        def counting_slopes(cats, terms, u):
+            rows.append(len(u))
+            return real_slopes(cats, terms, u)
 
         monkeypatch.setattr(estimation, "_loglike_slopes", counting_slopes)
         with warnings.catch_warnings():
@@ -806,9 +855,9 @@ class TestGridFree:
         calls = []
         real_slopes = estimation._loglike_slopes
 
-        def counting_slopes(cats, calibration, u):
+        def counting_slopes(cats, terms, u):
             calls.append(u.copy())
-            return real_slopes(cats, calibration, u)
+            return real_slopes(cats, terms, u)
 
         monkeypatch.setattr(estimation, "_loglike_slopes", counting_slopes)
         got, *got_counts = estimate_with_counts(block_counts, cal)

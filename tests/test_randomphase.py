@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entsense import randomphase, simulator
+from entsense import estimation, randomphase, simulator
 from entsense.cli import analytic_calibration, main
 from entsense.errors import (
     ConfigurationError,
@@ -270,8 +270,10 @@ class TestPrecisionScan:
 
 class TestSetpointThreads:
     """The blocked setpoints of precision_scan and the trials of
-    run_random_phase_experiment run on min(usable cores, setpoints)
-    threads, with the same results, warnings and errors as one by one."""
+    run_random_phase_experiment are drawn on min(usable cores - 1,
+    setpoints) background threads and estimated on the calling thread,
+    because the block MLE thrashes the GIL on two threads; the results,
+    warnings and errors are the same as one by one."""
 
     SOURCE = SourceParams(mu=1e-3, visibility=1.0)
     EFF = EfficiencyBudget.uniform(0.9)
@@ -292,26 +294,30 @@ class TestSetpointThreads:
         return sorted(str(w.message) for w in caught)
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_precision_scan_at_any_core_count(self, monkeypatch, pools, cores):
+    def test_precision_scan_at_any_core_count(self, monkeypatch, pools,
+                                              estimate_threads, cores):
         monkeypatch.setattr(randomphase, "_usable_cores", lambda: cores)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             thetas, measurements, peak = precision_scan(
                 self.SOURCE, self.EFF, FringeFit.ideal(), 9, 60, 12, seed=77)
-        assert pools == ([] if cores == 1 else [cores])
+        assert pools == ([] if cores == 1 else [cores - 1])
+        assert estimate_threads == [threading.get_ident()] * 9
         want, want_caught = self.serial([3.0 * t for t in thetas], 60, 12, 77)
         assert measurements == want
         assert self.messages(caught) == self.messages(want_caught)
         assert len(caught) == 2  # two edge setpoints have boundary blocks
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_random_phase_at_any_core_count(self, monkeypatch, pools, cores):
+    def test_random_phase_at_any_core_count(self, monkeypatch, pools,
+                                            estimate_threads, cores):
         monkeypatch.setattr(randomphase, "_usable_cores", lambda: cores)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_random_phase_experiment(
                 self.SOURCE, self.EFF, FringeFit.ideal(), 9, 100, 12, seed=360)
-        assert pools == ([] if cores == 1 else [cores])
+        assert pools == ([] if cores == 1 else [cores - 1])
+        assert estimate_threads == [threading.get_ident()] * 9
         want, want_caught = self.serial(
             [3.0 * t.theta_true for t in result.trials], 100, 12, 360)
         assert [t.measurement for t in result.trials] == want
@@ -325,7 +331,7 @@ class TestSetpointThreads:
                                     1, 300, 12, seed=42)
         run_random_phase_experiment(self.SOURCE, self.EFF, FringeFit.ideal(),
                                     0, 300, 12, seed=42)
-        assert pools == [3]
+        assert pools == [3, 1]
 
     def test_usable_cores(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -342,45 +348,57 @@ class TestSetpointThreads:
         precision_scan(self.SOURCE, self.EFF, FringeFit.ideal(), 3, 300, 12, seed=77)
         assert pools == []
 
+    def fail_at(self, monkeypatch, half, failing):
+        """Make the draw or the reduce of the setpoints in failing raise;
+        returns the setting indices drawn and the setpoints reduced."""
+        drawn, reduced, lock = [], [], threading.Lock()
+        real_draw, real_estimate = simulator.sample_blocked_run, estimation.estimate_blocks
+
+        def draw(*args, setting_index, **kwargs):
+            with lock:
+                drawn.append(setting_index)
+            if half == "draw" and setting_index in failing:
+                raise DomainError(f"setpoint {setting_index} failed")
+            return real_draw(*args, setting_index=setting_index, **kwargs)
+
+        def estimate(*args):
+            j = len(reduced)  # the reduce runs in setpoint order
+            reduced.append(j)
+            if half == "reduce" and j in failing:
+                raise DomainError(f"setpoint {j} failed")
+            return real_estimate(*args)
+
+        monkeypatch.setattr(randomphase, "sample_blocked_run", draw)
+        monkeypatch.setattr(randomphase, "estimate_blocks", estimate)
+        return drawn, reduced
+
     @pytest.mark.parametrize("cores", [1, 2, 4])
     def test_first_failing_setpoint_raises(self, monkeypatch, cores):
-        # setpoints 3 and 7 fail; 3's error is raised and nothing past the
-        # 2 * threads setpoints in flight when it is consumed is started
-        called, lock = [], threading.Lock()
-        real = randomphase.measure_phase_point
-
-        def failing(*args, setting_index, **kwargs):
-            with lock:
-                called.append(setting_index)
-            if setting_index in (3, 7):
-                raise DomainError(f"setpoint {setting_index} failed")
-            return real(*args, setting_index=setting_index, **kwargs)
-
+        # setpoints 3 and 7 fail, in their draw or in their reduce; 3's
+        # error is raised and nothing past the 2 * threads draws in flight
+        # when it is consumed is started
         monkeypatch.setattr(randomphase, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(randomphase, "measure_phase_point", failing)
-        with pytest.raises(DomainError, match="^setpoint 3 failed$"):
-            precision_scan(self.SOURCE, self.EFF, FringeFit.ideal(), 12, 300, 12,
-                           seed=77)
-        assert set(range(4)) <= set(called)
-        assert max(called) < 3 + 2 * cores
-        assert len(called) == len(set(called))
-        if cores == 1:
-            assert called == [0, 1, 2, 3]
+        for half in ("draw", "reduce"):
+            drawn, reduced = self.fail_at(monkeypatch, half, (3, 7))
+            with pytest.raises(DomainError, match="^setpoint 3 failed$"):
+                precision_scan(self.SOURCE, self.EFF, FringeFit.ideal(), 12, 300,
+                               12, seed=77)
+            assert set(range(4)) <= set(drawn)
+            assert len(drawn) == len(set(drawn))
+            assert reduced == list(range(3 if half == "draw" else 4))
+            if cores == 1:
+                assert drawn == [0, 1, 2, 3]
+            else:
+                assert max(drawn) < 3 + 2 * (cores - 1)
 
     def test_failed_setpoint_leaves_no_output(self, monkeypatch, tmp_path, capsys):
-        real = randomphase.measure_phase_point
-
-        def failing(*args, setting_index, **kwargs):
-            if setting_index == 3:
-                raise DomainError("setpoint 3 failed")
-            return real(*args, setting_index=setting_index, **kwargs)
-
         monkeypatch.setattr(randomphase, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(randomphase, "measure_phase_point", failing)
-        out = tmp_path / "out"
-        assert main(["precision", "--preset", "paper-240m", "--out", str(out)]) == 2
-        assert "setpoint 3 failed" in capsys.readouterr().err
-        assert not out.exists()  # so no manifest.json either
+        for half in ("draw", "reduce"):
+            self.fail_at(monkeypatch, half, (3,))
+            out = tmp_path / half
+            assert main(["precision", "--preset", "paper-240m", "--out", str(out)]) == 2
+            assert "setpoint 3 failed" in capsys.readouterr().err
+            assert not out.exists()  # so no manifest.json either
 
 
 class TestThresholdScan:
