@@ -925,7 +925,8 @@ class TestGridFree:
         assert len(runs[6]) == 1595
         assert peak < 4 * 2**20
 
-    def test_zero_visibility_is_flat_everywhere(self, precision_scans):
+    @pytest.mark.parametrize("include_rest", [False])
+    def test_zero_visibility_is_flat_everywhere(self, precision_scans, include_rest):
         # the moment start divides by the fitted visibility
         block_counts = precision_scans["paper-240m"][1][6]
         with warnings.catch_warnings(record=True) as caught:
