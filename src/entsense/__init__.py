@@ -50,8 +50,6 @@ from .model import (
     SourceParams,
     coincidence_probs,
     crb,
-    effective_fi,
-    fisher_matrix,
     fisher_per_informative_event,
     global_phase,
     pattern_distribution,
@@ -59,7 +57,6 @@ from .model import (
 from .events import (
     EventType,
     Tally,
-    classify,
     coincidence_fractions,
     write_tally_csv,
 )
@@ -147,15 +144,12 @@ __all__ = [
     "actual_photons",
     "bits_to_phase",
     "block_stats",
-    "classify",
     "coincidence_fractions",
     "coincidence_probs",
     "crb",
     "db_below_snl",
     "draw_phase_settings",
-    "effective_fi",
     "estimate_blocks",
-    "fisher_matrix",
     "fisher_per_informative_event",
     "fit_fringe",
     "fold_to_branch",

@@ -17,24 +17,22 @@ import csv
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EmptyStatisticsError
+from .errors import ConfigurationError, EmptyStatisticsError
 from .model import (
     CHANNELS,
     COINCIDENCE_PATTERNS,
     INFORMATIVE_PATTERNS,
     N_PATTERNS,
-    pattern_is_informative,
 )
 
 __all__ = [
     "EventType",
     "INFORMATIVE_TYPES",
     "COINCIDENCE_TYPES",
-    "classify",
     "Tally",
     "coincidence_fractions",
     "write_tally_csv",
@@ -47,7 +45,7 @@ class EventType(IntEnum):
     Member names are the exact serialization tokens (``A1``, ``A1B2``,
     ``A1A2B1B2``, ...), so ``EventType[token]`` parses a CSV cell and
     ``.name`` writes one.  ``int(event) == pattern mask`` by construction,
-    which makes :func:`classify` a bijection over ``[0, 15]``.
+    so ``EventType(p)`` names the outcome of click mask ``p``.
     """
 
     NoClick = 0b0000
@@ -73,11 +71,6 @@ class EventType(IntEnum):
         return int(self).bit_count()
 
     @property
-    def is_informative(self) -> bool:
-        """True when both nodes registered at least one click."""
-        return pattern_is_informative(int(self))
-
-    @property
     def category(self) -> str:
         """Coarse class: NoClick, Single, Twofold, Threefold, or Fourfold."""
         return _CATEGORY_BY_MULTIPLICITY[self.multiplicity]
@@ -100,18 +93,6 @@ _INFORMATIVE_MASKS = np.array(INFORMATIVE_PATTERNS, dtype=np.intp)
 _CHANNEL_MEMBERSHIP = np.array(
     [[(p >> b) & 1 for p in range(N_PATTERNS)] for b in range(4)], dtype=np.int64
 )
-
-
-def classify(pattern: int) -> EventType:
-    """Map a 4-bit click mask to its event type.
-
-    Total and bijective over ``[0, 15]``; anything outside that range is a
-    domain error, not a clamp.
-    """
-    p = int(pattern)
-    if not 0 <= p < N_PATTERNS:
-        raise DomainError(f"click pattern must be in [0, 15], got {pattern!r}")
-    return EventType(p)
 
 
 def _as_count_array(counts) -> np.ndarray:
@@ -147,32 +128,6 @@ class Tally:
         if self.setting_index < 0:
             raise ConfigurationError("setting_index must be nonnegative")
 
-    @classmethod
-    def from_patterns(cls, patterns, setting_index: int = 0) -> "Tally":
-        """Tally a batch of click masks (any integer array-like)."""
-        arr = np.asarray(patterns, dtype=np.int64).ravel()
-        if arr.size and (arr.min() < 0 or arr.max() >= N_PATTERNS):
-            raise DomainError("click patterns must be in [0, 15]")
-        return cls(np.bincount(arr, minlength=N_PATTERNS), setting_index)
-
-    @classmethod
-    def from_counts(
-        cls, counts: Mapping[EventType | int | str, int], setting_index: int = 0
-    ) -> "Tally":
-        """Build a tally from an event-type -> count mapping."""
-        arr = np.zeros(N_PATTERNS, dtype=np.int64)
-        for key, value in counts.items():
-            arr[int(_coerce_type(key))] += int(value)
-        return cls(arr, setting_index)
-
-    def __getitem__(self, key: EventType | int | str) -> int:
-        return int(self.counts[int(_coerce_type(key))])
-
-    @property
-    def total(self) -> int:
-        """Pulses processed (all sixteen outcomes, no-click included)."""
-        return int(self.counts.sum())
-
     @property
     def c_sum(self) -> int:
         """Total count of the nine informative event types."""
@@ -199,17 +154,6 @@ class Tally:
         )
 
 
-def _coerce_type(key: EventType | int | str) -> EventType:
-    if isinstance(key, EventType):
-        return key
-    if isinstance(key, str):
-        try:
-            return EventType[key]
-        except KeyError:
-            raise DomainError(f"unknown event type {key!r}") from None
-    return classify(key)
-
-
 def coincidence_fractions(tally: Tally) -> tuple[float, float, float, float]:
     """Fractions C(A_iB_j) / C_sum in (A1B1, A1B2, A2B1, A2B2) order.
 
@@ -229,15 +173,13 @@ def coincidence_fractions(tally: Tally) -> tuple[float, float, float, float]:
 _TALLY_HEADER = ("setting_index", "event_type", "count")
 
 
-def write_tally_csv(tallies: Iterable[Tally] | Tally, path) -> None:
+def write_tally_csv(tallies: Iterable[Tally], path) -> None:
     """Write tallies as CSV rows ``setting_index,event_type,count``.
 
     One row per event type per tally, event types in ascending mask order,
     spelled by their serialization token (``NoClick``, ``A1``, ...,
     ``A1A2B1B2``).
     """
-    if isinstance(tallies, Tally):
-        tallies = [tallies]
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TALLY_HEADER)

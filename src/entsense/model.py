@@ -50,8 +50,6 @@ __all__ = [
     "SourceParams",
     "coincidence_probs",
     "crb",
-    "effective_fi",
-    "fisher_matrix",
     "fisher_per_informative_event",
     "global_phase",
     "pattern_distribution",
@@ -249,9 +247,6 @@ class ClickDistribution:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    def __getitem__(self, pattern):
-        return float(self.probs[pattern])
-
     def informative_probability(self):
         """Total probability of the nine both-sides-clicked patterns."""
         return float(self.probs[list(INFORMATIVE_PATTERNS)].sum())
@@ -322,47 +317,6 @@ def pattern_distribution(source, eff, u, *, with_derivative=False):
     return dist, d_probs
 
 
-def fisher_matrix(u, visibility):
-    """Classical Fisher matrix of the four coincidence outcomes.
-
-    Entries are sum_i (1/P_i) (dP_i/dtheta_k)(dP_i/dtheta_l) over the
-    quartet, with theta = (theta_A, theta_B) and u = theta_A - 2*theta_B.
-    The matrix is (V^2 sin^2 u / (1 - V^2 cos^2 u)) * [[1, -2], [-2, 4]];
-    it is singular (rank one) because only u is observable.
-    """
-    probs = coincidence_probs(u, visibility)
-    if np.any(probs <= 0.0):
-        vanished = [
-            COINCIDENCE_CHANNELS[i] for i in range(4) if probs[i] <= 0.0
-        ]
-        raise DomainError(
-            "Fisher matrix undefined: coincidence outcomes "
-            f"{vanished} have zero probability at u={u}, V={visibility}"
-        )
-    d_du = _coincidence_derivs(u, visibility)
-    grads = np.stack([d_du, -2.0 * d_du])  # rows: d/dtheta_A, d/dtheta_B
-    return (grads / probs) @ grads.T
-
-
-def effective_fi(fisher, alpha=ALPHA):
-    """Effective Fisher information for the weighted global function.
-
-    For weights alpha, the precision bound on alpha . theta is set by
-    (alpha^T F alpha) / (alpha^T alpha)^2; with alpha = (1/3, -2/3) and
-    V = 1 this evaluates to exactly 9 for every phase on the branch.
-    """
-    F = np.asarray(fisher, dtype=float)
-    if F.shape != (2, 2):
-        raise DomainError(f"Fisher matrix must be 2x2, got shape {F.shape}")
-    if not np.allclose(F, F.T, rtol=1e-9, atol=1e-12):
-        raise DomainError("Fisher matrix must be symmetric")
-    a = np.asarray(alpha, dtype=float)
-    norm = float(a @ a)
-    if norm == 0.0:
-        raise DomainError("weight vector alpha must be nonzero")
-    return float(a @ F @ a) / norm**2
-
-
 def crb(k, effective_fisher):
     """Cramer-Rao bound on the global phase after k independent trials."""
     if not (math.isfinite(k) and k >= 1):
@@ -381,7 +335,7 @@ def fisher_per_informative_event(source, eff, u):
     (both sides clicked) and evaluates the categorical Fisher information
     of the conditional type frequencies in u, times 9 to convert from u
     to theta_hat = u/3.  In the lossless single-pair limit this recovers
-    effective_fi(fisher_matrix(u, V)).
+    the coincidence law's 9 V^2 sin^2 u / (1 - V^2 cos^2 u).
     """
     dist, d_probs = pattern_distribution(source, eff, u, with_derivative=True)
     idx = list(INFORMATIVE_PATTERNS)

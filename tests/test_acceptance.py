@@ -39,8 +39,7 @@ from entsense.model import (
     EfficiencyBudget,
     SourceParams,
     coincidence_probs,
-    effective_fi,
-    fisher_matrix,
+    fisher_per_informative_event,
     pattern_distribution,
 )
 from entsense.randomphase import measure_phase_point
@@ -122,8 +121,9 @@ def test_criterion_01_ideal_fisher_information(ideal_point, criterion):
     Exactness is an analytic claim, so it is proven symbolically: the
     quartet model is rebuilt in sympy, anchored to the implementation's
     coincidence_probs at sample phases, and the weighted contraction is
-    simplified to the integer 9. The floating-point path is then held
-    to its own machine-precision contract.
+    simplified to the integer 9. The floating-point path,
+    fisher_per_informative_event at a lossless source that emits at most
+    one pair, is then held within 1e-9 of it.
     """
     import sympy as sp
 
@@ -144,8 +144,10 @@ def test_criterion_01_ideal_fisher_information(ideal_point, criterion):
     eff = (alpha.T * F * alpha)[0] / (alpha.T * alpha)[0] ** 2
     exact = anchored and sp.simplify(eff - 9) == 0
 
+    lossless = SourceParams(mu=1e-3, visibility=1.0, n_max=1)
+    uniform = EfficiencyBudget.uniform(1.0)
     float_dev = max(
-        abs(effective_fi(fisher_matrix(u, 1.0)) - 9.0)
+        abs(fisher_per_informative_event(lossless, uniform, u) - 9.0)
         for u in (0.3, 1.0, 0.5 * math.pi, 2.0, 2.9)
     )
     ratio = ideal_point.measurement.stats.delta_hat * math.sqrt(9 * 10_000)

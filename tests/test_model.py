@@ -3,8 +3,7 @@
 The pattern-distribution oracle here is an independent brute-force
 enumeration over per-pair outcomes (route x per-photon detection), kept
 deliberately naive so it shares no code path with the subset-closure
-implementation.  The Fisher oracle differentiates the four coincidence
-probabilities symbolically with sympy.
+implementation.
 """
 
 import itertools
@@ -12,7 +11,6 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from entsense import model
 from entsense.errors import ConfigurationError, DomainError
@@ -29,8 +27,6 @@ from entsense.model import (
     SourceParams,
     coincidence_probs,
     crb,
-    effective_fi,
-    fisher_matrix,
     fisher_per_informative_event,
     global_phase,
     pattern_distribution,
@@ -129,20 +125,6 @@ def random_model_cases(count, seed):
             continue
         cases.append((source, EfficiencyBudget(eta=dict(zip(CHANNELS, eta.tolist()))), u))
     return cases
-
-
-def symbolic_fisher():
-    """Fisher matrix over (theta_A, theta_B) by symbolic differentiation."""
-    ta, tb, v = sp.symbols("ta tb v", real=True)
-    cosu = sp.cos(ta - 2 * tb)
-    quartet = [(1 - v * cosu) / 4, (1 + v * cosu) / 4,
-               (1 + v * cosu) / 4, (1 - v * cosu) / 4]
-    F = sp.zeros(2, 2)
-    for prob in quartet:
-        for k, pk in enumerate((ta, tb)):
-            for l, pl in enumerate((ta, tb)):
-                F[k, l] += sp.diff(prob, pk) * sp.diff(prob, pl) / prob
-    return sp.lambdify((ta, tb, v), sp.simplify(F), "numpy")
 
 
 class TestGlobalPhase:
@@ -280,15 +262,15 @@ class TestPatternDistribution:
     def test_no_click_floor_at_small_mu(self):
         src = SourceParams(mu=0.0025, visibility=0.9, n_max=3)
         dist = pattern_distribution(src, EfficiencyBudget.uniform(0.6), 0.4)
-        assert dist[0] >= math.exp(-0.0025)
+        assert dist.probs[0] >= math.exp(-0.0025)
 
     def test_single_pair_limit_reduces_to_coincidence_law(self):
         src = SourceParams(mu=1e-7, visibility=1.0, n_max=2)
         dist = pattern_distribution(src, EfficiencyBudget.uniform(1.0), 0.0)
-        clicked = 1.0 - dist[0]
-        assert dist[0b1001] / clicked == pytest.approx(0.5, abs=1e-6)
-        assert dist[0b0110] / clicked == pytest.approx(0.5, abs=1e-6)
-        assert dist[0b0101] / clicked == pytest.approx(0.0, abs=1e-6)
+        clicked = 1.0 - dist.probs[0]
+        assert dist.probs[0b1001] / clicked == pytest.approx(0.5, abs=1e-6)
+        assert dist.probs[0b0110] / clicked == pytest.approx(0.5, abs=1e-6)
+        assert dist.probs[0b0101] / clicked == pytest.approx(0.0, abs=1e-6)
 
     def test_normalization_across_grid(self):
         rng = np.random.default_rng(11)
@@ -338,65 +320,32 @@ class TestPatternDistribution:
         src = SourceParams(mu=0.056, visibility=0.98, n_max=4)
         eff = EfficiencyBudget.uniform(0.7)
         dist = pattern_distribution(src, eff, 1.0)
-        informative = sum(dist[p] for p in INFORMATIVE_PATTERNS)
+        informative = sum(dist.probs[p] for p in INFORMATIVE_PATTERNS)
         assert dist.informative_probability() == pytest.approx(informative)
         np.testing.assert_allclose(
-            dist.coincidence_quartet(), [dist[p] for p in COINCIDENCE_PATTERNS]
+            dist.coincidence_quartet(), [dist.probs[p] for p in COINCIDENCE_PATTERNS]
         )
 
 
 class TestFisher:
-    def test_ideal_matrix(self):
-        np.testing.assert_allclose(
-            fisher_matrix(math.pi / 2, 1.0), [[1.0, -2.0], [-2.0, 4.0]], atol=1e-12
-        )
-
-    def test_rank_one(self):
-        for u in (0.3, 1.0, 2.8):
-            F = fisher_matrix(u, 0.97)
-            assert np.linalg.det(F) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_symbolic_oracle(self):
-        oracle = symbolic_fisher()
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            v = float(rng.uniform(0.05, 0.999))
-            ta, tb = rng.uniform(-4, 4, size=2)
-            u = float(ta - 2 * tb)
-            if abs(abs(v * math.cos(u)) - 1.0) < 1e-6:
-                continue
-            got = fisher_matrix(u, v)
-            want = np.array(oracle(ta, tb, v), dtype=float)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_singularity_reported_with_channel(self):
-        with pytest.raises(DomainError) as err:
-            fisher_matrix(0.0, 1.0)
-        assert "A1B1" in str(err.value)
-
-    def test_effective_fi_hand_checked_matrix(self):
-        assert effective_fi(np.array([[1.0, -2.0], [-2.0, 4.0]])) == pytest.approx(9.0)
-        assert effective_fi(np.zeros((2, 2))) == 0.0
-        assert effective_fi(
-            np.array([[1.0, -2.0], [-2.0, 4.0]]), alpha=(1.0, 0.0)
-        ) == pytest.approx(1.0)
-
-    def test_effective_fi_constancy_at_ideal_visibility(self):
-        for u in np.linspace(0.05, math.pi - 0.05, 40):
-            fi = effective_fi(fisher_matrix(float(u), 1.0))
-            assert fi == pytest.approx(9.0, abs=1e-9)
-
     def test_visibility_law(self):
-        # effective FI = 9 V^2 sin^2 u / (1 - V^2 cos^2 u)
+        # FI per informative event = 9 V^2 sin^2 u / (1 - V^2 cos^2 u) for
+        # a lossless source that emits at most one pair
         rng = np.random.default_rng(17)
+        eff = EfficiencyBudget.uniform(1.0)
         for _ in range(60):
             v = float(rng.uniform(0.05, 0.999))
             u = float(rng.uniform(0.05, math.pi - 0.05))
             law = 9 * v**2 * math.sin(u) ** 2 / (1 - v**2 * math.cos(u) ** 2)
-            assert effective_fi(fisher_matrix(u, v)) == pytest.approx(law, abs=1e-6)
+            src = SourceParams(mu=1e-3, visibility=v, n_max=1)
+            fi = fisher_per_informative_event(src, eff, u)
+            assert fi == pytest.approx(law, abs=1e-6)
 
     def test_partial_visibility_peak(self):
-        fi = effective_fi(fisher_matrix(math.pi / 2, 0.98))
+        src = SourceParams(mu=1e-3, visibility=0.98, n_max=1)
+        fi = fisher_per_informative_event(
+            src, EfficiencyBudget.uniform(1.0), math.pi / 2
+        )
         assert fi == pytest.approx(8.6436, abs=1e-10)
 
     def test_crb_values(self):
